@@ -44,6 +44,7 @@ _PROBLEM_KEYS = {
     "n_terms": ("int", 16),
     "spread": ("float", 1.0),
     "scales": ("floats", None),
+    # accepted for old configs; soft_svm ground truth is exact and ignores them
     "pool_size": ("int", 1_000_000),
     "pool_seed": ("int", 2024),
     "seed": ("int", 0),
@@ -227,10 +228,7 @@ def build_problem(config: ExperimentConfig) -> problems.ProblemInstance:
         return cls(coefficients=x_star, sigma=p["sigma"], feasible_set=set_)
     if family == "soft_svm":
         set_ = _build_set(p, FeasibleSet.l2_ball(n, 1.0))
-        return problems.SoftSVM(
-            concept=x_star, feasible_set=set_,
-            pool_size=p["pool_size"], pool_seed=p["pool_seed"],
-        )
+        return problems.SoftSVM(concept=x_star, feasible_set=set_)
     if family == "norm_power":
         set_ = _build_set(p, None)
         return problems.NormPower(s=p["s"], sigma=p["sigma"], dim=n, feasible_set=set_)

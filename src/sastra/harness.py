@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NotApplicableError
+from .errors import InputError, NotApplicableError, SastraError
 from .problems import ProblemInstance
 from .sa_solvers import (
     AdaGrad,
@@ -325,9 +325,11 @@ def run_trials(
 ) -> list[TrialResult]:
     """T independent trials with seeds base+1..base+T, ordered by trial index.
 
-    A trial that raises is recorded as failed with its diagnostic and the run
-    continues.  Parallel execution never changes results: trials share no
-    state and the output order is by trial index.
+    A trial that raises a sastra error, a floating-point error or a linear
+    algebra error is recorded as failed with its diagnostic and the run
+    continues; any other exception is a bug and propagates.  Parallel
+    execution never changes results: trials share no state and the output
+    order is by trial index.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -340,7 +342,7 @@ def run_trials(
             point = solver.run(problem, n, problem.stream(seed), epsilon)
             gap = problem.population_gap(point)
             failed, diag = False, ""
-        except Exception as exc:  # noqa: BLE001 - trial isolation is the contract
+        except (SastraError, FloatingPointError, np.linalg.LinAlgError) as exc:
             gap, failed, diag = math.nan, True, f"{type(exc).__name__}: {exc}"
         wall_ms = (time.perf_counter() - t0) * 1e3
         return TrialResult(t, seed, solver.id, label, n, gap, wall_ms, failed, diag)

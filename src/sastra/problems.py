@@ -1,7 +1,7 @@
 """Synthetic stochastic objectives with exact ground truth.
 
-Every family exposes per-sample value/subgradient oracles, a closed-form (or
-frozen high-resolution numeric) population objective, and declared constants.
+Every family exposes per-sample value/subgradient oracles, a closed-form (or,
+for soft_svm, exact-quadrature) population objective, and declared constants.
 Sampling is counter-based: sample number ``i`` of a stream occupies a fixed
 window of the Philox-4x64 sequence keyed by the stream seed, so a sample is a
 pure function of (seed, i) regardless of how many samples were drawn before
@@ -11,14 +11,15 @@ through the inverse CDF, which keeps the window arithmetic exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import beta as beta_fn, betainc, ndtri
 
 from .errors import InputError, PreconditionError
-from .geometry import FeasibleSet, NormTag, contains, project
+from .geometry import FeasibleSet, NormTag, contains
 
 __all__ = [
     "ProblemConstants",
@@ -31,14 +32,12 @@ __all__ = [
     "NormPower",
     "FiniteSumQuadratic",
     "make_problem",
-    "problem_constants",
 ]
 
 _MASK64 = (1 << 64) - 1
 # Key salt: separates sastra sample streams from any other Philox user.
 _KEY_SALT = 0x9E3779B97F4A7C15
 # Stream-index salts for internal sample consumers (XORed into the base seed).
-POOL_STREAM_INDEX = 0x5EED_F00D_0000_0001
 CENTER_STREAM_INDEX = 0x5EED_F00D_0000_0002
 INDEX_STREAM_INDEX = 0x5EED_F00D_0000_0003
 
@@ -159,7 +158,7 @@ class ProblemInstance:
 
     Subclasses fill in the sampler transform, per-sample oracles, the
     population gap and constants.  Instances are immutable after construction
-    (lazily built caches excepted) and safe to share across runs.
+    and safe to share across runs.
     """
 
     family: str = "abstract"
@@ -641,21 +640,20 @@ class FiniteSumQuadratic(ProblemInstance):
 
 
 class SoftSVM(ProblemInstance):
-    """Hinge loss over the unit ball with a planted separating direction.
+    """Hinge loss over an l2 ball with a planted separating direction.
 
     Lab generative model (the improper density is made proper by fixing the
     covariate law): a is uniform on the unit sphere and the label is drawn
     with P(y | a) proportional to min(1, exp(y <concept, a> - 1)).  The
-    population objective has no closed form; it is frozen once per instance
-    as the average over a reference pool of ``pool_size`` samples, and the
-    pool minimizer (solved to high accuracy on a smoothed hinge with
-    continuation) serves as ground truth with quantified Monte Carlo error.
+    population objective is exact up to quadrature error below 1e-12
+    (``_svm_objective``); reflections fixing the concept and the ball center
+    keep law and ball, so x* minimizes it over span(concept, center).  Both
+    are computed once, at construction.
     """
 
     family = "soft_svm"
 
     def __init__(self, concept, feasible_set: FeasibleSet | None = None,
-                 pool_size: int = 1_000_000, pool_seed: int = 2024,
                  norm: NormTag = NormTag(2)):
         self.concept = np.atleast_1d(np.asarray(concept, dtype=float))
         n = self.concept.size
@@ -664,12 +662,11 @@ class SoftSVM(ProblemInstance):
             raise InputError("feasible set dimension mismatch")
         if self.feasible_set.kind != "l2_ball":
             raise InputError("soft_svm is defined over an l2 ball")
-        if pool_size < 1:
-            raise InputError("pool_size must be positive")
-        self.pool_size = int(pool_size)
-        self.pool_seed = int(pool_seed)
         self.norm = norm
-        self._reference = None
+        self._kappa = float(np.linalg.norm(self.concept))
+        self._axis = self.concept / self._kappa if self._kappa > 0 else np.eye(n)[0]
+        self._x_star = self._minimize()
+        self._f_star = self.population_value(self._x_star)
 
     @property
     def dimension(self) -> int:
@@ -688,11 +685,7 @@ class SoftSVM(ProblemInstance):
         z = _std_normal(u[:, :n])
         nrm = np.sqrt(np.einsum("ij,ij->i", z, z))
         a = z / nrm[:, None]
-        m = a @ self.concept
-        w_pos = np.exp(np.minimum(m - 1.0, 0.0))
-        w_neg = np.exp(np.minimum(-m - 1.0, 0.0))
-        p_pos = w_pos / (w_pos + w_neg)
-        y = np.where(u[:, n] < p_pos, 1.0, -1.0)
+        y = np.where(u[:, n] < _label_prob(a @ self.concept), 1.0, -1.0)
         return np.hstack([a, y[:, None]])
 
     def batch_losses(self, x, rows):
@@ -713,118 +706,125 @@ class SoftSVM(ProblemInstance):
             return -y * a
         return np.zeros_like(x)
 
-    # --- frozen reference pool ------------------------------------------
+    def population_value(self, x) -> float:
+        """The population objective F(x) = E (1 - y <x, a>)_+."""
+        x = self._coerce_point(x)
+        alpha = float(self._axis @ x)
+        beta = float(np.linalg.norm(x - alpha * self._axis))
+        return _svm_objective(alpha, beta, self._kappa, self.dimension)
 
-    def _pool(self):
-        ref = self._reference
-        if ref is None:
-            ref = _SvmReference.build(self)
-            self._reference = ref
-        return ref
+    def _minimize(self):
+        """Minimizer over x = alpha c + gamma e in span(concept, center), with e
+        the unit direction of the center's part off the concept axis c.  The
+        minimum over each chord gamma = const is convex in gamma."""
+        set_, n, kappa = self.feasible_set, self.dimension, self._kappa
+        alpha_c = float(self._axis @ set_.center)
+        off = set_.center - alpha_c * self._axis
+        gamma_c = float(np.linalg.norm(off))
+
+        def best_alpha(gamma):
+            half = math.sqrt(max(set_.radius**2 - (gamma - gamma_c) ** 2, 0.0))
+            return _argmin_convex(lambda a: _svm_objective(a, abs(gamma), kappa, n),
+                                  alpha_c - half, alpha_c + half)
+
+        gamma = 0.0
+        if gamma_c > 0.0:
+            gamma = _argmin_convex(lambda g: _svm_objective(best_alpha(g), abs(g), kappa, n),
+                                   gamma_c - set_.radius, gamma_c + set_.radius)
+            off = off / gamma_c
+        alpha = best_alpha(gamma)
+        return alpha * self._axis + gamma * off
 
     @property
     def x_star(self) -> np.ndarray:
-        return self._pool().x_hat
+        return self._x_star
 
     def _gap(self, x):
-        ref = self._pool()
-        return max(ref.value(x) - ref.f_star, 0.0)
-
-    def reference_error_estimate(self) -> float:
-        """Monte Carlo standard error of the frozen population objective."""
-        return self._pool().mc_standard_error
+        return max(self.population_value(x) - self._f_star, 0.0)
 
     def constants(self) -> ProblemConstants:
-        return ProblemConstants(
-            M_p=1.0,
-            L=math.inf,
-            mu_p=0.0,
-            sigma_star_sq=1.0,  # ||a|| = 1, upper bound used as the declared proxy
-            s=2.0,
-            mu_ps=0.0,
-            lambda_sq=2.0,
-        )
+        # sigma_star_sq: ||a|| = 1, an upper bound used as the declared proxy
+        return ProblemConstants(M_p=1.0, L=math.inf, mu_p=0.0, sigma_star_sq=1.0,
+                                s=2.0, mu_ps=0.0, lambda_sq=2.0)
 
 
-class _SvmReference:
-    """Frozen pool, pool minimizer and pool optimum value for one SoftSVM."""
+def _label_prob(m):
+    """P(y = +1 | <concept, a> = m) in the soft_svm model."""
+    w_pos = np.exp(np.minimum(m - 1.0, 0.0))
+    w_neg = np.exp(np.minimum(-m - 1.0, 0.0))
+    return w_pos / (w_pos + w_neg)
 
-    def __init__(self, signed_design, x_hat, f_star, mc_se):
-        self.signed_design = signed_design  # float32 (P, n): rows y_i * a_i
-        self.x_hat = x_hat
-        self.f_star = f_star
-        self.mc_standard_error = mc_se
 
-    def value(self, x) -> float:
-        m = self.signed_design @ np.asarray(x, dtype=np.float32)
-        return float(np.mean(np.maximum(0.0, 1.0 - m), dtype=np.float64))
+def _hinge_mean(A, B, n):
+    """H(A, B) = E (A - B w)_+, B >= 0, w a coordinate of a uniform point on
+    S^{n-2}: w = +-1 for n = 2, else (1 + w)/2 ~ Beta(k, k) with k = (n-2)/2,
+    so H = A P(w < t) - B E[w; w < t] at t = A/B in closed form."""
+    if n == 2:
+        return 0.5 * (np.maximum(A - B, 0.0) + np.maximum(A + B, 0.0))
+    k = 0.5 * (n - 2)
+    t = np.clip(np.divide(A, B, out=np.copysign(np.ones_like(A), A), where=B > 0), -1.0, 1.0)
+    moment = (1.0 - t * t) ** k / (2.0 * k * beta_fn(0.5, k))  # -E[w; w < t]
+    return A * betainc(k, k, 0.5 * (1.0 + t)) + B * moment
 
-    @staticmethod
-    def build(problem: "SoftSVM") -> "_SvmReference":
-        stream = SampleStream(
-            problem, (problem.pool_seed ^ POOL_STREAM_INDEX) & _MASK64, 0
-        )
-        chunks = []
-        remaining = problem.pool_size
-        while remaining > 0:
-            take = min(remaining, 1 << 16)
-            rows, stream = stream.draw_block(take)
-            chunks.append((rows[:, :-1] * rows[:, -1][:, None]).astype(np.float32))
-            remaining -= take
-        signed = np.vstack(chunks)
 
-        x_hat = _SvmReference._solve_pool(signed, problem.feasible_set)
-        m = signed @ x_hat.astype(np.float32)
-        losses = np.maximum(0.0, 1.0 - m).astype(np.float64)
-        f_star = float(losses.mean())
-        mc_se = float(losses.std() / math.sqrt(losses.size))
-        return _SvmReference(signed, x_hat, f_star, mc_se)
+_SVM_NODES = 96  # per piece of the soft_svm integral; half as many move F < 1e-12
 
-    @staticmethod
-    def _solve_pool(signed, set_: FeasibleSet, smoothings=(3e-2, 3e-3, 3e-4)):
-        """Projected FISTA with restarts on the Huber-smoothed pool hinge.
 
-        Continuation over the smoothing parameter; a subsample warm start
-        keeps the full-pool stages short.  The smoothing bias of the final
-        stage is O(h^2), far below the pool's Monte Carlo error.
-        """
-        n = signed.shape[1]
-        warm_rows = min(signed.shape[0], 100_000)
-        x = np.zeros(n)
-        x = _SvmReference._fista(signed[:warm_rows], set_, x, smoothings[0], 400)
-        for h in smoothings[1:]:
-            x = _SvmReference._fista(signed[:warm_rows], set_, x, h, 400)
-        for h in smoothings[1:]:
-            x = _SvmReference._fista(signed, set_, x, h, 350)
-        return x
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(m: int):
+    """m-node Gauss-Legendre rule on [0, 1] graded by s -> 3s^2 - 2s^3."""
+    s, w = np.polynomial.legendre.leggauss(m)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+    return s * s * (3.0 - 2.0 * s), w * 6.0 * s * (1.0 - s)
 
-    @staticmethod
-    def _fista(signed, set_, x0, h, iters):
-        count = signed.shape[0]
-        lip = 1.0 / h  # mean of unit-norm rank-one terms, curvature 1/h each
-        x = project(set_, x0)
-        y = x.copy()
-        t = 1.0
-        f_prev = np.inf
-        for _ in range(iters):
-            m = signed @ y.astype(np.float32)
-            gap = 1.0 - m.astype(np.float64)
-            w = np.clip(gap / h, 0.0, 1.0)
-            g = -(w.astype(np.float32) @ signed).astype(np.float64) / count
-            x_new = project(set_, y - g / lip)
-            f_val = float(
-                np.mean(np.where(gap > h, gap - 0.5 * h, 0.5 * np.maximum(gap, 0.0) ** 2 / h))
-            )
-            if f_val > f_prev:  # adaptive restart on objective increase
-                t = 1.0
-                y = x.copy()
-                f_prev = np.inf
-                continue
-            f_prev = f_val
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-            x, t = x_new, t_new
-        return x
+
+def _svm_objective(alpha, beta, kappa, n, nodes=_SVM_NODES) -> float:
+    """soft_svm F(x) from alpha = <x, c>, beta = ||x - alpha c||, c the unit
+    concept direction (any axis if kappa = ||concept|| = 0).  With u = <c, a>,
+    of density rho_n prop. to (1 - u^2)^((n-3)/2), and v = beta sqrt(1 - u^2),
+    F = int rho_n [p(kappa u) H(1 - alpha u, v) + (1 - p(kappa u)) H(1 + alpha u, v)] du.
+    Graded Gauss-Legendre in arcsin u on pieces split at u = +-1/kappa (kinks),
+    at +-4/sqrt(n), +-8/sqrt(n) (rho_n's scale) and, if alpha^2 + beta^2 > 1,
+    where a plane <x, a> = +-1 touches the slice <c, a> = u.  For odd n the
+    integrand is (u - u0)^(n/2) there, which the grading makes analytic.
+    n = 1 is the two-point law a = +-1.
+    """
+    if n == 1:
+        p = float(_label_prob(kappa))
+        return p * max(1.0 - alpha, 0.0) + (1.0 - p) * max(1.0 + alpha, 0.0)
+    cuts = [-1.0, 1.0] + [k * 4.0 / math.sqrt(n) for k in (-2.0, -1.0, 1.0, 2.0)]
+    if kappa > 1.0:
+        cuts += [-1.0 / kappa, 1.0 / kappa]
+    r2 = alpha * alpha + beta * beta
+    if r2 > 1.0:
+        d = beta * math.sqrt(r2 - 1.0)
+        cuts += [(i * alpha + j * d) / r2 for i in (-1.0, 1.0) for j in (-1.0, 1.0)]
+    edges = np.unique(np.arcsin(np.clip(cuts, -1.0, 1.0)))
+    s, w = _gauss_legendre(nodes)
+    width = np.diff(edges)[:, None]
+    theta = edges[:-1, None] + width * s
+    u, c = np.sin(theta), np.cos(theta)
+    p, b = _label_prob(kappa * u), beta * c
+    g = p * _hinge_mean(1.0 - alpha * u, b, n) + (1.0 - p) * _hinge_mean(1.0 + alpha * u, b, n)
+    return float(np.sum(width * w * c ** (n - 2) * g)) / beta_fn(0.5, 0.5 * (n - 1))
+
+
+def _argmin_convex(f, lo, hi, tol=1e-8):
+    """Golden-section minimizer of a convex f on [lo, hi]; the ends are
+    candidates too, so a minimizer on the boundary is returned exactly.
+    (Importing scipy.optimize instead would add ~0.3 s to every start-up.)"""
+    g = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = lo, hi
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:  # the minimum lies in [a, d]: shift c to d
+            b, d, fd, c = d, c, fc, d - g * (d - a)
+            fc = f(c)
+        else:
+            a, c, fc, d = c, d, fd, c + g * (b - c)
+            fd = f(d)
+    return min((0.5 * (a + b), lo, hi), key=f)
 
 
 _FAMILIES = {
@@ -845,7 +845,3 @@ def make_problem(family: str, **kwargs) -> ProblemInstance:
         raise InputError(f"unknown problem family {family!r}") from None
     return cls(**kwargs)
 
-
-def problem_constants(problem: ProblemInstance) -> ProblemConstants:
-    """Declared constants of a problem (free-function spelling of .constants())."""
-    return problem.constants()

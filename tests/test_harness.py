@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from sastra.errors import InputError
+from sastra.errors import DegenerateInputError, InputError
 from sastra.geometry import FeasibleSet
 from sastra.harness import (
     CurvePoint,
@@ -20,7 +20,7 @@ from sastra.harness import (
     success_probability,
     write_report,
 )
-from sastra.problems import GaussianMean
+from sastra.problems import GaussianMean, SoftSVM
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,43 @@ class TestRunTrials:
                 return "boom"
 
             def run(self, problem, n, stream, epsilon=None):
-                raise RuntimeError("synthetic failure")
+                raise DegenerateInputError("synthetic failure")
 
         res = run_trials(Exploding(), p, 10, 3, 0, threads=1)
         assert all(r.failed for r in res)
         assert "synthetic failure" in res[0].diagnostic
+
+    def test_programming_error_propagates(self):
+        # only sastra, floating-point and linear-algebra errors fail a trial
+        @dataclass(frozen=True)
+        class Buggy:
+            @property
+            def id(self):
+                return "buggy"
+
+            def run(self, problem, n, stream, epsilon=None):
+                raise TypeError("synthetic bug")
+
+        for threads in (1, 2):
+            with pytest.raises(TypeError, match="synthetic bug"):
+                run_trials(Buggy(), gaussian(), 10, 3, 0, threads=threads)
+
+    def test_soft_svm_truth_built_once_at_construction(self, monkeypatch):
+        calls = []
+        minimize = SoftSVM._minimize
+
+        def counting(self):
+            calls.append(1)
+            return minimize(self)
+
+        monkeypatch.setattr(SoftSVM, "_minimize", counting)
+        p = SoftSVM(concept=2.0 * np.ones(10) / math.sqrt(10.0))
+        assert len(calls) == 1
+        two = run_trials(SgdSolver(), p, 100, 4, 7, threads=2)
+        one = run_trials(SgdSolver(), p, 100, 4, 7, threads=1)
+        assert len(calls) == 1  # concurrent trials share the one truth
+        assert not any(r.failed for r in two)
+        assert [r.gap for r in two] == [r.gap for r in one]
 
     def test_disjoint_streams(self):
         p = gaussian()

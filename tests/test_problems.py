@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from sastra.errors import InputError, PreconditionError
-from sastra.geometry import FeasibleSet
+from sastra.geometry import FeasibleSet, project
 from sastra.problems import (
     FiniteSumQuadratic,
     GaussianMean,
@@ -14,9 +15,9 @@ from sastra.problems import (
     SoftSVM,
     TRUNC3_VARIANCE,
     make_problem,
-    problem_constants,
     uniform_values,
 )
+from sastra import problems
 
 
 def unconstrained(n):
@@ -76,7 +77,7 @@ class TestLossOracles:
         )
 
     def test_soft_svm_inactive_hinge(self):
-        p = SoftSVM(concept=[2.0, 0.0], pool_size=100)
+        p = SoftSVM(concept=[2.0, 0.0])
         # y <x, a> = 2 > 1: zero loss, zero subgradient
         xi = np.array([1.0, 0.0, 1.0])  # a = e1, y = +1
         assert p.loss_value([2.0 / math.sqrt(8), 2.0 / math.sqrt(8)], xi) >= 0
@@ -148,7 +149,6 @@ class TestPopulationGap:
 class TestConstants:
     def test_gaussian_strongly_convex(self, gaussian1d):
         assert gaussian1d.constants().mu_p == 2.0
-        assert problem_constants(gaussian1d).mu_p == 2.0
 
     def test_norm_power_constants(self):
         for s in (1.0, 2.0, 3.0):
@@ -176,7 +176,7 @@ class TestConstants:
             coefficients=[0.5, -0.5], sigma=0.3,
             feasible_set=FeasibleSet.l2_ball(2, 1.0),
         )
-        svm = SoftSVM(concept=[2.0, 1.0], pool_size=100)
+        svm = SoftSVM(concept=[2.0, 1.0])
         for p in (ridge, svm):
             m_declared = p.constants().M_p
             rows, _ = p.stream(3).draw_block(200)
@@ -259,13 +259,75 @@ class TestConstruction:
         np.testing.assert_allclose(p.x_star, [1.0, 2.0, 3.0], atol=1e-12)
 
 
+# a centred unit ball and an off-centre ball of radius 1.6 per dimension
+SVM_CASES = [(n, ball) for n in (1, 2, 3, 10) for ball in ("centred", "off_centre")]
+
+
+@functools.lru_cache(maxsize=None)
+def _svm_problem(n, ball):
+    rng = np.random.default_rng(100 + n)
+    concept = rng.normal(size=n)
+    concept *= 1.7 / np.linalg.norm(concept)
+    if ball == "centred":
+        return SoftSVM(concept=concept)
+    set_ = FeasibleSet.l2_ball(n, 1.6, center=0.5 * rng.normal(size=n))
+    return SoftSVM(concept=concept, feasible_set=set_)
+
+
+def _random_feasible(set_, rng, scale=1.0):
+    return project(set_, set_.center + scale * set_.radius * rng.normal(size=set_.dimension))
+
+
 class TestSoftSvmReference:
-    def test_pool_is_frozen_and_gap_nonnegative(self):
-        p = SoftSVM(concept=[1.5, 0.0, 0.0], pool_size=20_000)
+    def test_truth_is_fixed_and_gap_nonnegative(self):
+        p = SoftSVM(concept=[1.5, 0.0, 0.0])
         x_star = p.x_star
         assert np.linalg.norm(x_star) <= 1.0 + 1e-9
         assert p.population_gap(x_star) == 0.0
         assert p.population_gap([0.0, 0.0, 0.0]) > 0.0
-        # cached: second access returns the identical array
+        # fixed at construction: every access returns the identical array
         assert p.x_star is x_star
-        assert p.reference_error_estimate() < 0.01
+
+    def test_default_ball_optimum_on_concept_ray(self):
+        # the acceptance concept: the minimizer is the boundary point c/||c||
+        concept = 2.0 * np.ones(10) / math.sqrt(10.0)
+        p = SoftSVM(concept=concept)
+        np.testing.assert_allclose(p.x_star, concept / 2.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n,ball", SVM_CASES)
+    def test_monte_carlo_agreement(self, n, ball):
+        # the exact objective agrees with a sample mean over the problem's own
+        # Philox stream, at x* and at random feasible points
+        p, rng = _svm_problem(n, ball), np.random.default_rng(n)
+        rows, _ = p.stream(7).draw_block(200_000)
+        points = [p.x_star] + [_random_feasible(p.feasible_set, rng) for _ in range(3)]
+        for x in points:
+            losses = p.batch_losses(x, rows)
+            se = losses.std() / math.sqrt(losses.size)
+            z = (losses.mean() - p.population_value(x)) / se
+            assert abs(z) <= 4.0, (x, z)
+
+    @pytest.mark.parametrize("n,ball", SVM_CASES)
+    def test_halving_nodes_moves_value_below_1e12(self, n, ball):
+        p, rng = _svm_problem(n, ball), np.random.default_rng(n)
+        c = p.concept / np.linalg.norm(p.concept)
+        for _ in range(5):
+            # scale 1.2 puts some points on the boundary, where ||x|| > 1 off centre
+            x = _random_feasible(p.feasible_set, rng, scale=1.2)
+            alpha = float(c @ x)
+            beta = float(np.linalg.norm(x - alpha * c))
+            kappa = float(np.linalg.norm(p.concept))
+            full = problems._svm_objective(alpha, beta, kappa, n)
+            half = problems._svm_objective(alpha, beta, kappa, n,
+                                           nodes=problems._SVM_NODES // 2)
+            assert abs(full - half) < 1e-12
+            assert full == pytest.approx(p.population_value(x), abs=1e-15)
+
+    @pytest.mark.parametrize("n,ball", SVM_CASES)
+    def test_optimum_minimizes_population_value(self, n, ball):
+        p, rng = _svm_problem(n, ball), np.random.default_rng(n)
+        assert p.population_gap(p.x_star) == 0.0
+        f_star = p.population_value(p.x_star)
+        for _ in range(100):
+            y = _random_feasible(p.feasible_set, rng, scale=rng.uniform(0.0, 1.5))
+            assert f_star <= p.population_value(y) + 1e-12

@@ -199,7 +199,7 @@ class TestRestarts:
         assert trace.oracle_calls == plan[0]
 
     def test_growth_required(self):
-        p = SoftSVM(concept=[1.0, 0.0], pool_size=100)
+        p = SoftSVM(concept=[1.0, 0.0])
         with pytest.raises(NotApplicableError):
             restarted_run(p, TargetAccuracy(0.1, 0.3), 1.0, p.stream(1),
                           np.array([0.0, 0.0]))
@@ -256,7 +256,7 @@ class TestMinibatchOracle:
             make_minibatch_oracle(self.make_sum(), 0)
 
     def test_rejects_nonsmooth(self):
-        p = SoftSVM(concept=[1.0, 0.0], pool_size=100)
+        p = SoftSVM(concept=[1.0, 0.0])
         with pytest.raises(NotApplicableError):
             make_minibatch_oracle(p, 4)
 
@@ -294,7 +294,7 @@ class TestBatchedAccelerated:
         assert p.population_gap(trace.final_point) <= 0.01
 
     def test_rejects_nonsmooth(self):
-        p = SoftSVM(concept=[1.0, 0.0], pool_size=100)
+        p = SoftSVM(concept=[1.0, 0.0])
         with pytest.raises(NotApplicableError):
             batched_accelerated_run(p, TargetAccuracy(0.1, 0.5), p.stream(0),
                                     [0.0, 0.0])

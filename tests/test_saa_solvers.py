@@ -138,7 +138,7 @@ class TestSolveErm:
         assert res.certificate == "budget_exhausted"
 
     def test_hinge_plateau_path(self):
-        p = SoftSVM(concept=[1.5, 0.0], pool_size=100)
+        p = SoftSVM(concept=[1.5, 0.0])
         emp, _ = build_empirical(p, 40, p.stream(13))
         res = solve_erm(emp, 1e-4, budget=4000)
         assert res.certificate in ("plateau", "budget_exhausted")
@@ -272,7 +272,7 @@ class TestVrSolve:
         assert drops >= 0.9
 
     def test_rejects_nonsmooth_terms(self):
-        p = SoftSVM(concept=[1.0, 0.0], pool_size=100)
+        p = SoftSVM(concept=[1.0, 0.0])
         emp, _ = build_empirical(p, 10, p.stream(1), HalfSqL2(1.0))
         with pytest.raises(NotApplicableError):
             vr_solve(emp, 1e-6, 10, p.stream(2))
