@@ -117,7 +117,7 @@ class FeasibleSet:
         return self.kind != UNCONSTRAINED
 
     def centered_at_origin(self) -> bool:
-        return self.center is None or not np.any(self.center)
+        return self.center is None or not self.center.any()
 
 
 def _check_vector(set_: FeasibleSet, x) -> np.ndarray:
@@ -142,28 +142,53 @@ def _simplex_project(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
 def _l1_project(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto {x : ||x||_1 <= radius}."""
     if np.abs(v).sum() <= radius:
-        return v.copy()
+        return v
     w = _simplex_project(np.abs(v), radius)
     return np.sign(v) * w
 
 
-def project(set_: FeasibleSet, x) -> np.ndarray:
-    """Euclidean projection of x onto the set.
+def _l2_project(v: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection onto {x : ||x||_2 <= radius}, shrinking v in place."""
+    nrm = np.sqrt(v @ v)
+    if nrm > radius:
+        v *= radius / nrm
+    return v
 
-    Unconstrained sets return x unchanged (as a float array).
+
+# One Euclidean projection per set kind, onto the origin-centred set of the
+# given radius.  Each takes a vector its caller owns and may overwrite it.
+_PROJECTIONS = {
+    UNCONSTRAINED: lambda v, radius: v,
+    L2_BALL: _l2_project,
+    L1_BALL: _l1_project,
+    SIMPLEX: _simplex_project,
+}
+
+
+def _projector(set_: FeasibleSet):
+    """v -> Euclidean projection of v onto the set; may overwrite v.
+
+    Tests the centre once, so a hot loop on an origin-centred set does no
+    shift.
+    """
+    proj, radius = _PROJECTIONS[set_.kind], set_.radius
+    if set_.centered_at_origin():
+        return lambda v: proj(v, radius)
+    center = set_.center
+    return lambda v: proj(v - center, radius) + center
+
+
+def project(set_: FeasibleSet, x) -> np.ndarray:
+    """Euclidean projection of x onto the set, as a new float array.
+
+    Unconstrained sets return a copy of x.  A one-off call skips the
+    centre test of _projector and shifts every ball by its centre.
     """
     x = _check_vector(set_, x)
-    if set_.kind == UNCONSTRAINED:
-        return x.copy()
-    if set_.kind == L2_BALL:
-        z = x - set_.center
-        nrm = float(np.sqrt(z @ z))
-        if nrm <= set_.radius:
-            return x.copy()
-        return set_.center + z * (set_.radius / nrm)
-    if set_.kind == L1_BALL:
-        return set_.center + _l1_project(x - set_.center, set_.radius)
-    return _simplex_project(x)
+    proj, center = _PROJECTIONS[set_.kind], set_.center
+    if center is None:
+        return proj(x.copy(), set_.radius)
+    return proj(x - center, set_.radius) + center
 
 
 def contains(set_: FeasibleSet, x, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -178,7 +203,8 @@ def mirror_step(set_: FeasibleSet, x, g, gamma: float) -> np.ndarray:
 
     Ball kinds and the unconstrained space use the Euclidean prox, i.e.
     project(set, x - gamma * g).  The simplex uses the entropic update
-    x_i * exp(-gamma * g_i), renormalized to sum one.
+    x_i * exp(-gamma * g_i), renormalized to sum one.  Checks its inputs,
+    then takes the step of make_mirror_stepper.
     """
     x = _check_vector(set_, x)
     g = _check_vector(set_, g)
@@ -186,14 +212,11 @@ def mirror_step(set_: FeasibleSet, x, g, gamma: float) -> np.ndarray:
         raise InputError(f"step size must be positive, got {gamma}")
     if not contains(set_, x):
         raise PreconditionError("mirror_step requires x inside the set")
-    if set_.kind == SIMPLEX:
-        dead = (x == 0.0) & (g != 0.0)
-        if np.any(dead):
-            raise DegenerateInputError(
-                "entropic step undefined: zero coordinate with nonzero gradient"
-            )
-        return _entropic_update(x, g, gamma)
-    return project(set_, x - gamma * g)
+    if set_.kind == SIMPLEX and np.any((x == 0.0) & (g != 0.0)):
+        raise DegenerateInputError(
+            "entropic step undefined: zero coordinate with nonzero gradient"
+        )
+    return make_mirror_stepper(set_)(x, g, gamma)
 
 
 def _entropic_update(x: np.ndarray, g: np.ndarray, gamma: float) -> np.ndarray:
@@ -222,54 +245,17 @@ def set_diameter(set_: FeasibleSet, norm: NormTag = NormTag(2)) -> float:
 
 
 def make_mirror_stepper(set_: FeasibleSet):
-    """Specialized step closure for solver hot loops.
+    """Unchecked mirror step for solver hot loops.
 
     Returns f(x, g, gamma) -> next iterate.  Skips the membership recheck:
     callers must start from a feasible point, and every output is feasible by
     construction.  Public code should use mirror_step instead.
     """
-    if set_.kind == UNCONSTRAINED:
-        def step_unconstrained(x, g, gamma):
-            return x - gamma * g
+    if set_.kind == SIMPLEX:
+        return _entropic_update
+    proj = _projector(set_)
 
-        return step_unconstrained
+    def step(x, g, gamma):
+        return proj(x - gamma * g)
 
-    if set_.kind == L2_BALL:
-        radius = set_.radius
-        if set_.centered_at_origin():
-            def step_ball0(x, g, gamma):
-                z = x - gamma * g
-                nrm = np.sqrt(z @ z)
-                if nrm > radius:
-                    z *= radius / nrm
-                return z
-
-            return step_ball0
-
-        center = set_.center
-
-        def step_ball(x, g, gamma):
-            z = x - gamma * g - center
-            nrm = np.sqrt(z @ z)
-            if nrm > radius:
-                z *= radius / nrm
-            return z + center
-
-        return step_ball
-
-    if set_.kind == L1_BALL:
-        radius = set_.radius
-        center = None if set_.centered_at_origin() else set_.center
-
-        def step_l1(x, g, gamma):
-            z = x - gamma * g
-            if center is None:
-                return _l1_project(z, radius)
-            return center + _l1_project(z - center, radius)
-
-        return step_l1
-
-    def step_simplex(x, g, gamma):
-        return _entropic_update(x, g, gamma)
-
-    return step_simplex
+    return step

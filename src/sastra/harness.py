@@ -1,17 +1,16 @@
 """Experiment engine: trials, success probabilities, sample-complexity search.
 
-Trials are embarrassingly parallel and seeded base+1..base+T, so a run is
-reproducible and trial streams never overlap.  Sample complexity N(eps, beta)
-is located by doubling followed by geometric bisection, each probe on its own
-disjoint seed block.  Rate exponents come from least squares in log-log space.
+Trials run in order on one thread, seeded base+1..base+T, so a run depends
+only on its config and seed, and trial streams never overlap.  Sample
+complexity N(eps, beta) is located by doubling followed by geometric
+bisection, each probe on its own disjoint seed block.  Rate exponents come
+from least squares in log-log space.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -48,7 +47,6 @@ __all__ = [
     "write_report",
     "read_report",
     "assert_disjoint_streams",
-    "thread_count",
 ]
 
 TRIAL_HEADER = ["trial", "seed", "solver", "problem", "N", "gap", "wall_ms"]
@@ -146,7 +144,6 @@ class SgdSolver:
     schedule: str = "constant"  # constant | inverse_strong | decreasing | adagrad
     step_multiplier: float = 1.0
     start: str = "center"
-    window: str | None = None
 
     @property
     def id(self) -> str:
@@ -173,9 +170,7 @@ class SgdSolver:
 
     def run(self, problem, n, stream, epsilon=None) -> np.ndarray:
         x0 = _start_point(problem, self.start)
-        trace, _ = sgd_run(
-            problem, self._make_schedule(problem, n), n, stream, x0, window=self.window
-        )
+        trace, _ = sgd_run(problem, self._make_schedule(problem, n), n, stream, x0)
         return trace.averaged_point
 
 
@@ -299,17 +294,6 @@ class BatchedAccelSolver:
 # ---------------------------------------------------------------------------
 
 
-def thread_count() -> int:
-    """Trial parallelism cap: SASTRA_THREADS, defaulting to the machine."""
-    env = os.environ.get("SASTRA_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError(f"SASTRA_THREADS must be an integer, got {env!r}")
-    return max(1, os.cpu_count() or 1)
-
-
 def _problem_label(problem: ProblemInstance) -> str:
     return f"{problem.family}(n={problem.dimension})"
 
@@ -321,21 +305,20 @@ def run_trials(
     trials: int,
     base_seed: int,
     epsilon: float | None = None,
-    threads: int | None = None,
 ) -> list[TrialResult]:
-    """T independent trials with seeds base+1..base+T, ordered by trial index.
+    """T independent trials with seeds base+1..base+T, run in trial order.
 
     A trial that raises a sastra error, a floating-point error or a linear
     algebra error is recorded as failed with its diagnostic and the run
-    continues; any other exception is a bug and propagates.  Parallel
-    execution never changes results: trials share no state and the output
-    order is by trial index.
+    continues; any other exception is a bug and propagates.  Trials share no
+    state, so trial t gives the same result as a one-trial run at seed
+    base+t: results do not depend on how trials are batched.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
     label = _problem_label(problem)
-
-    def one(t: int) -> TrialResult:
+    results = []
+    for t in range(1, trials + 1):
         seed = base_seed + t
         t0 = time.perf_counter()
         try:
@@ -345,13 +328,10 @@ def run_trials(
         except (SastraError, FloatingPointError, np.linalg.LinAlgError) as exc:
             gap, failed, diag = math.nan, True, f"{type(exc).__name__}: {exc}"
         wall_ms = (time.perf_counter() - t0) * 1e3
-        return TrialResult(t, seed, solver.id, label, n, gap, wall_ms, failed, diag)
-
-    workers = threads if threads is not None else thread_count()
-    if workers <= 1 or trials == 1:
-        return [one(t) for t in range(1, trials + 1)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(1, trials + 1)))
+        results.append(
+            TrialResult(t, seed, solver.id, label, n, gap, wall_ms, failed, diag)
+        )
+    return results
 
 
 def assert_disjoint_streams(results: list[TrialResult]) -> None:
@@ -385,7 +365,6 @@ def find_sample_complexity(
     base_seed: int = 10_000,
     resolution: float = 1.1,
     n_start: int = 1,
-    threads: int | None = None,
 ) -> ComplexityResult:
     """Smallest probed N with empirical success fraction >= 1 - beta.
 
@@ -403,8 +382,7 @@ def find_sample_complexity(
         nonlocal probe_idx
         seed = base_seed + probe_idx * trials
         probe_idx += 1
-        results = run_trials(solver, problem, n, trials, seed,
-                             epsilon=epsilon, threads=threads)
+        results = run_trials(solver, problem, n, trials, seed, epsilon=epsilon)
         k = sum(1 for r in results if not r.failed and r.gap <= epsilon)
         probes.append((n, k, trials))
         return k / trials >= 1.0 - beta
@@ -438,7 +416,6 @@ def measure_curve(
     trials: int = 50,
     max_n: int = 1_000_000,
     base_seed: int = 10_000,
-    threads: int | None = None,
 ) -> SampleComplexityCurve:
     """N(eps, beta) for a decreasing epsilon list.
 
@@ -454,7 +431,6 @@ def measure_curve(
         res = find_sample_complexity(
             solver, problem, eps, beta, trials=trials, max_n=max_n,
             base_seed=base_seed + block * 1_000_000, n_start=n_start,
-            threads=threads,
         )
         k_at = next((k for (n, k, t) in reversed(res.probes) if n == res.n), 0)
         points.append(CurvePoint(eps, beta, res.n, trials, k_at, res.saturated))

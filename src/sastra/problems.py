@@ -435,12 +435,14 @@ class Lasso(RidgeRegression):
 
 @dataclass(frozen=True, eq=False)
 class NormPower(ProblemInstance):
-    """f(x, xi) = ||x||_2^s - s <xi, x> on the unit l2-ball, xi ~ N(0, sigma^2 I).
+    """f(x, xi) = ||x||_2^s - s <xi, x> on a ball or free space, xi ~ N(0, sigma^2 I).
 
-    Population objective ||x||_2^s with optimum at the origin; growth modulus
-    mu_{2,s} = 1 and sub-Gaussian proxy lambda^2 = s^2 sigma^2.  M_p is the
-    documented effective bound s (1 + sigma sqrt n): stochastic gradients are
-    unbounded but their norm concentrates below it.
+    The default set is the unit l2-ball.  Population objective ||x||_2^s with
+    optimum at the origin; growth modulus mu_{2,s} = 1 and sub-Gaussian proxy
+    lambda^2 = s^2 sigma^2.  With R the largest ||x||_2 over the feasible set,
+    M_p is the documented effective bound s (R^{s-1} + sigma sqrt n):
+    stochastic gradients are unbounded but their norm concentrates below it.
+    For s > 2, L = s (s-1) R^{s-2}.
     """
 
     s: float
@@ -504,11 +506,15 @@ class NormPower(ProblemInstance):
 
     def constants(self) -> ProblemConstants:
         s, n = self.s, self.dim
-        smooth = s * (s - 1.0) if s >= 2.0 else math.inf
-        if s == 1.0:
-            smooth = math.inf
+        set_ = self.feasible_set
+        # R, the largest ||x||_2 over the set (an upper bound on off-centre l1
+        # balls); the simplex never hosts the family, it misses the origin
+        r = math.inf
+        if set_.is_bounded:
+            r = set_.radius + float(np.linalg.norm(set_.center))
+        smooth = s * (s - 1.0) * r ** (s - 2.0) if s > 2.0 else math.inf
         return ProblemConstants(
-            M_p=s * (1.0 + self.sigma * math.sqrt(n)),
+            M_p=s * (r ** (s - 1.0) + self.sigma * math.sqrt(n)),
             L=smooth if s != 2.0 else 2.0,
             mu_p=2.0 if s == 2.0 else 0.0,
             sigma_star_sq=s * s * self.sigma**2 * n,

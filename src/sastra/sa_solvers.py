@@ -32,7 +32,6 @@ __all__ = [
     "RunAborted",
     "step_size",
     "sgd_run",
-    "average_iterates",
     "restart_stage_plan",
     "restarted_run",
     "restarted_budget_run",
@@ -203,15 +202,6 @@ class RunTrace:
     gap_checkpoints: tuple = None
 
 
-def average_iterates(trace: RunTrace, window: str = "full") -> np.ndarray:
-    """Mean of the run's iterates over the requested window."""
-    if window == "full":
-        return trace.average_full
-    if window == "tail-half":
-        return trace.average_tail
-    raise InputError(f"unknown averaging window {window!r}")
-
-
 def _gap_checkpoint_ks(n_steps: int) -> np.ndarray:
     ks = np.unique(
         np.round(np.logspace(0, math.log10(n_steps), _MAX_GAP_CHECKPOINTS)).astype(int)
@@ -237,8 +227,9 @@ def sgd_run(
 
     Averages the pre-update iterates x^1..x^N.  Consumes exactly n_steps
     samples from the stream and returns the advanced stream alongside the
-    trace.  The default averaging window is tail-half under the strongly
-    convex 1/(mu k) policy and the full window otherwise.
+    trace.  window picks the averaged point: "full" or "tail-half"; the
+    default is tail-half under the strongly convex 1/(mu k) policy and the
+    full window otherwise.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
@@ -248,6 +239,8 @@ def sgd_run(
         raise PreconditionError("x0 must lie in the feasible set")
     if window is None:
         window = "tail-half" if getattr(schedule, "kind", "") == "inverse_strong" else "full"
+    elif window not in ("full", "tail-half"):
+        raise InputError(f"unknown averaging window {window!r}")
 
     schedule = schedule.fresh()
     stepper = make_mirror_stepper(set_)

@@ -36,7 +36,6 @@ __all__ = [
     "L1",
     "EmpiricalObjective",
     "build_empirical",
-    "empirical_value_grad",
     "ErmResult",
     "solve_erm",
     "strong_delta",
@@ -177,11 +176,6 @@ def build_empirical(
         raise InputError("n must be >= 1")
     rows, stream = stream.draw_block(n)
     return EmpiricalObjective(problem, rows, composite), stream
-
-
-def empirical_value_grad(e: EmpiricalObjective, x) -> tuple[float, np.ndarray]:
-    """Exact mean value and mean subgradient over all terms plus composite."""
-    return e.value(x), e.gradient(x)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +491,7 @@ def vr_solve(
         idx_counter += epoch_len
         ts = np.minimum((u * n).astype(np.int64), n - 1)
         for t in ts:
-            g = (
-                e.term_subgradient(x, int(t))
-                - e.term_subgradient(state.reference, int(t))
-                + state.full_gradient
-            )
+            g = vr_gradient(state, e, x, int(t))
             x = x - eta * g if unconstrained else project(set_, x - eta * g)
             term_evals += 2
     return VrResult(x, budget_epochs, term_evals / n, False, e.value(x),

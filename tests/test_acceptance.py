@@ -48,7 +48,7 @@ def verdict(ident, ok, detail):
 def median_gap_slope(solver, problem, n_grid, seeds, base_seed):
     medians = []
     for n in n_grid:
-        res = run_trials(solver, problem, n, seeds, base_seed, threads=1)
+        res = run_trials(solver, problem, n, seeds, base_seed)
         gaps = [r.gap for r in res if not r.failed]
         assert len(gaps) == seeds
         medians.append(float(np.median(gaps)))
@@ -110,7 +110,7 @@ def test_04_growth_restart_complexity():
         solver = RestartSolver(beta=0.3, multiplier=c["mult"], start="boundary",
                                radius=c["ball"])
         curve = measure_curve(solver, p, eps_list, beta=0.3, trials=50,
-                              max_n=1_000_000, base_seed=40_000, threads=1)
+                              max_n=1_000_000, base_seed=40_000)
         exponent = -curve.slope
         lo, hi = c["band"]
         ok = ok and (lo <= exponent <= hi)
@@ -152,7 +152,7 @@ def test_06_saa_lower_bound_direction():
     p = NormPower(s=2.0, sigma=sigma, dim=n_dim)
     n_samples = int(0.5 * n_dim * sigma**2 / eps)
     assert n_samples == 100
-    res = run_trials(ErmSolver(delta=1e-10), p, n_samples, 200, 6_000, threads=1)
+    res = run_trials(ErmSolver(delta=1e-10), p, n_samples, 200, 6_000)
     frac, (lo, hi) = success_probability(res, eps)
     verdict("06 SAA lower-bound direction", frac < 0.7,
             f"P(gap <= {eps}) = {frac:.3f} < 0.7 at N = {n_samples} "

@@ -224,19 +224,3 @@ class TestMain:
 
     def test_verify_without_config(self, capsys):
         assert main(["verify"]) == 0
-
-
-class TestThreadEnv:
-    def test_invalid_thread_env(self, monkeypatch):
-        from sastra.errors import InputError
-        from sastra.harness import thread_count
-
-        monkeypatch.setenv("SASTRA_THREADS", "many")
-        with pytest.raises(InputError):
-            thread_count()
-
-    def test_thread_env_cap(self, monkeypatch):
-        from sastra.harness import thread_count
-
-        monkeypatch.setenv("SASTRA_THREADS", "3")
-        assert thread_count() == 3

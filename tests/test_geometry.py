@@ -15,6 +15,7 @@ from sastra.geometry import (
     FeasibleSet,
     NormTag,
     contains,
+    make_mirror_stepper,
     mirror_step,
     project,
     set_diameter,
@@ -102,6 +103,29 @@ class TestMirrorStep:
                 np.testing.assert_array_equal(
                     mirror_step(s, x, g, gamma), project(s, x - gamma * g)
                 )
+
+    def test_stepper_matches_mirror_step_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        center = np.array([0.7, -0.4, 0.0, 1.1])
+        for s in (
+            FeasibleSet.unconstrained(4),
+            FeasibleSet.l2_ball(4, 1.5),
+            FeasibleSet.l2_ball(4, 0.8, center=center),
+            FeasibleSet.l1_ball(4, 1.5),
+            FeasibleSet.l1_ball(4, 0.8, center=center),
+            FeasibleSet.simplex(4),
+        ):
+            step = make_mirror_stepper(s)
+            for _ in range(200):
+                if s.kind == "simplex":
+                    x = rng.dirichlet(np.ones(4))
+                else:
+                    x = project(s, rng.normal(size=4) * 2.0)
+                g = rng.normal(size=4) * 3.0
+                gamma = rng.uniform(0.01, 2.0)
+                out = step(x, g, gamma)
+                assert out.tobytes() == mirror_step(s, x, g, gamma).tobytes()
+                assert contains(s, out)
 
     def test_outside_set_rejected(self):
         with pytest.raises(PreconditionError):

@@ -57,27 +57,30 @@ def gaussian():
 class TestRunTrials:
     def test_single_trial(self):
         p = gaussian()
-        res = run_trials(SgdSolver(schedule="inverse_strong"), p, 50, 1, 7,
-                         threads=1)
+        res = run_trials(SgdSolver(schedule="inverse_strong"), p, 50, 1, 7)
         assert len(res) == 1
         assert res[0].trial == 1
         assert res[0].seed == 8
 
     def test_same_base_seed_identical(self):
+        # trial t of a batch equals a one-trial run at seed base + t
         p = gaussian()
         solver = SgdSolver(schedule="inverse_strong")
-        a = run_trials(solver, p, 40, 10, 100, threads=1)
-        b = run_trials(solver, p, 40, 10, 100, threads=4)
-        assert [(r.trial, r.seed, r.gap) for r in a] == [
-            (r.trial, r.seed, r.gap) for r in b
+        batch = run_trials(solver, p, 40, 8, 100)
+        singles = [run_trials(solver, p, 40, 1, 100 + t)[0] for t in range(8)]
+        assert [r.trial for r in batch] == list(range(1, 9))
+        assert [(r.seed, r.gap) for r in batch] == [
+            (r.seed, r.gap) for r in singles
+        ]
+        assert [(r.seed, r.gap) for r in run_trials(solver, p, 40, 8, 100)] == [
+            (r.seed, r.gap) for r in batch
         ]
 
     def test_gap_scale_matches_sample_mean_distribution(self):
         # with the 1/(mu k) policy the solver output is a mean-like estimate:
         # median gap must sit within [0.2, 5] x sigma^2/N
         p = gaussian()
-        res = run_trials(SgdSolver(schedule="inverse_strong"), p, 100, 100, 55,
-                         threads=1)
+        res = run_trials(SgdSolver(schedule="inverse_strong"), p, 100, 100, 55)
         med = float(np.median([r.gap for r in res]))
         assert 0.2 * (1.0 / 100) <= med <= 5.0 * (1.0 / 100)
 
@@ -93,7 +96,7 @@ class TestRunTrials:
             def run(self, problem, n, stream, epsilon=None):
                 raise DegenerateInputError("synthetic failure")
 
-        res = run_trials(Exploding(), p, 10, 3, 0, threads=1)
+        res = run_trials(Exploding(), p, 10, 3, 0)
         assert all(r.failed for r in res)
         assert "synthetic failure" in res[0].diagnostic
 
@@ -108,9 +111,8 @@ class TestRunTrials:
             def run(self, problem, n, stream, epsilon=None):
                 raise TypeError("synthetic bug")
 
-        for threads in (1, 2):
-            with pytest.raises(TypeError, match="synthetic bug"):
-                run_trials(Buggy(), gaussian(), 10, 3, 0, threads=threads)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_trials(Buggy(), gaussian(), 10, 3, 0)
 
     def test_soft_svm_truth_built_once_at_construction(self, monkeypatch):
         calls = []
@@ -123,16 +125,13 @@ class TestRunTrials:
         monkeypatch.setattr(SoftSVM, "_minimize", counting)
         p = SoftSVM(concept=2.0 * np.ones(10) / math.sqrt(10.0))
         assert len(calls) == 1
-        two = run_trials(SgdSolver(), p, 100, 4, 7, threads=2)
-        one = run_trials(SgdSolver(), p, 100, 4, 7, threads=1)
-        assert len(calls) == 1  # concurrent trials share the one truth
-        assert not any(r.failed for r in two)
-        assert [r.gap for r in two] == [r.gap for r in one]
+        res = run_trials(SgdSolver(), p, 100, 4, 7)
+        assert len(calls) == 1  # every trial grades against the one truth
+        assert not any(r.failed for r in res)
 
     def test_disjoint_streams(self):
         p = gaussian()
-        res = run_trials(SgdSolver(schedule="inverse_strong"), p, 10, 5, 3,
-                         threads=1)
+        res = run_trials(SgdSolver(schedule="inverse_strong"), p, 10, 5, 3)
         assert_disjoint_streams(res)
 
 
@@ -168,18 +167,18 @@ class TestFindSampleComplexity:
     def test_analytic_inversion(self):
         # gap(N) = 10/sqrt(N) <= 0.1 exactly at N = 1e4
         res = find_sample_complexity(PowerLawSolver(10.0), gaussian(), 0.1, 0.3,
-                                     trials=5, max_n=10**6, threads=1)
+                                     trials=5, max_n=10**6)
         assert not res.saturated
         assert 10_000 <= res.n <= 11_000  # within one bisection step
 
     def test_trivial_epsilon(self):
         res = find_sample_complexity(PowerLawSolver(0.5), gaussian(), 1.0, 0.3,
-                                     trials=5, threads=1)
+                                     trials=5)
         assert res.n == 1
 
     def test_saturation_flag(self):
         res = find_sample_complexity(NeverSolver(), gaussian(), 0.1, 0.3,
-                                     trials=3, max_n=64, threads=1)
+                                     trials=3, max_n=64)
         assert res.saturated
         assert res.n == 64
 
@@ -187,7 +186,7 @@ class TestFindSampleComplexity:
         ns = []
         for eps in (0.4, 0.2, 0.1, 0.05):
             res = find_sample_complexity(PowerLawSolver(10.0), gaussian(), eps,
-                                         0.3, trials=5, threads=1)
+                                         0.3, trials=5)
             ns.append(res.n)
         assert ns == sorted(ns)
 
@@ -201,7 +200,7 @@ class TestFindSampleComplexity:
 class TestMeasureCurve:
     def test_power_law_curve_exponent(self):
         curve = measure_curve(PowerLawSolver(10.0), gaussian(),
-                              [0.4, 0.2, 0.1, 0.05], 0.3, trials=5, threads=1)
+                              [0.4, 0.2, 0.1, 0.05], 0.3, trials=5)
         # N(eps) proportional to eps^-2
         assert -curve.slope == pytest.approx(2.0, abs=0.15)
         ns = [p.n for p in curve.points]
@@ -248,8 +247,7 @@ class TestReports:
 
     def test_three_records_four_lines(self, tmp_path):
         p = gaussian()
-        res = run_trials(SgdSolver(schedule="inverse_strong"), p, 10, 3, 5,
-                         threads=1)
+        res = run_trials(SgdSolver(schedule="inverse_strong"), p, 10, 3, 5)
         path = tmp_path / "t.csv"
         write_report(res, path)
         lines = path.read_text(encoding="utf-8").strip().split("\n")
@@ -257,8 +255,7 @@ class TestReports:
 
     def test_roundtrip(self, tmp_path):
         p = gaussian()
-        res = run_trials(SgdSolver(schedule="inverse_strong"), p, 10, 3, 5,
-                         threads=1)
+        res = run_trials(SgdSolver(schedule="inverse_strong"), p, 10, 3, 5)
         path = tmp_path / "t.csv"
         write_report(res, path)
         header, records = read_report(path)

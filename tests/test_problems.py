@@ -156,6 +156,54 @@ class TestConstants:
             assert c.lambda_sq == pytest.approx(s * s * 0.49)
             assert c.mu_ps == 1.0
             assert c.s == s
+            # R = 1 sets keep the unit-ball constants
+            for set_ in (FeasibleSet.l2_ball(6, 1.0), FeasibleSet.l1_ball(6, 1.0)):
+                c = NormPower(s=s, sigma=0.7, dim=6, feasible_set=set_).constants()
+                assert c.M_p == s * (1.0 + 0.7 * math.sqrt(6))
+                assert c.L == {1.0: math.inf, 2.0: 2.0, 3.0: 6.0}[s]
+        # s = 1 ignores the radius; s > 1 has no finite M_p on free space
+        big = FeasibleSet.l2_ball(5, 4.0)
+        assert NormPower(s=1.0, sigma=0.5, dim=5, feasible_set=big).constants().M_p == (
+            1.0 + 0.5 * math.sqrt(5))
+        free = FeasibleSet.unconstrained(5)
+        assert NormPower(s=2.0, sigma=0.5, dim=5, feasible_set=free).constants().M_p == math.inf
+
+    def test_norm_power_constants_hold_on_every_set(self):
+        # at xi = 0 the gradient s ||x||^{s-2} x has norm s ||x||^{s-1}, which
+        # the declared M_p = s (R^{s-1} + sigma sqrt n) must cover with R the
+        # largest norm over the set; for s > 2 the gradient is L-Lipschitz.
+        # The simplex misses the optimum at the origin, so it cannot host the
+        # family.
+        rng = np.random.default_rng(11)
+        n = 4
+        center = np.array([0.9, -0.6, 0.3, 0.0])
+        for set_ in (
+            FeasibleSet.unconstrained(n),
+            FeasibleSet.l2_ball(n, 1.0),
+            FeasibleSet.l2_ball(n, 2.5),
+            FeasibleSet.l2_ball(n, 0.4),
+            FeasibleSet.l2_ball(n, 1.7, center=center),
+            FeasibleSet.l1_ball(n, 3.0),
+            FeasibleSet.l1_ball(n, 2.5, center=center),
+        ):
+            xs = [project(set_, rng.normal(size=n) * rng.uniform(0.1, 6.0))
+                  for _ in range(300)]
+            if set_.kind == "l2_ball":  # the point farthest from the origin
+                far = center if set_.center.any() else np.ones(n)
+                xs.append(set_.center + set_.radius * far / np.linalg.norm(far))
+            for s in (1.0, 1.5, 2.0, 3.0, 4.5):
+                p = NormPower(s=s, sigma=0.7, dim=n, feasible_set=set_)
+                c = p.constants()
+                bound = c.M_p - s * 0.7 * math.sqrt(n)
+                grads = [p.loss_subgradient(x, np.zeros(n)) for x in xs]
+                norms = [np.linalg.norm(g) for g in grads]
+                assert max(norms) <= bound * (1 + 1e-12)
+                if set_.kind == "l2_ball":  # the bound is attained there
+                    assert norms[-1] == pytest.approx(bound, rel=1e-12)
+                if s > 2.0:
+                    for i in range(len(xs) - 1):
+                        assert (np.linalg.norm(grads[i] - grads[i + 1])
+                                <= c.L * np.linalg.norm(xs[i] - xs[i + 1]) * (1 + 1e-12))
 
     def test_interpolating_sum_sigma_star(self):
         p = FiniteSumQuadratic.interpolating([1.0, -2.0], n_terms=5)

@@ -14,7 +14,6 @@ from sastra.sa_solvers import (
     InverseStrong,
     RunAborted,
     TargetAccuracy,
-    average_iterates,
     batched_accelerated_run,
     make_minibatch_oracle,
     restart_stage_plan,
@@ -109,26 +108,31 @@ class TestSgdRun:
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
         stream = FakeStream(np.array([[2.0], [3.0], [4.0], [5.0]]))
         trace, _ = sgd_run(p, ConstantHorizon(R=0.5, M=1.0, N=1), 4, stream, [1.0])
-        assert average_iterates(trace, "full")[0] == pytest.approx(2.5)
-        assert average_iterates(trace, "tail-half")[0] == pytest.approx(3.5)
+        assert trace.average_full[0] == pytest.approx(2.5)
+        assert trace.average_tail[0] == pytest.approx(3.5)
         three, _ = sgd_run(
             p, ConstantHorizon(R=0.5, M=1.0, N=1), 3,
             FakeStream(np.array([[2.0], [3.0], [4.0]])), [1.0],
         )
-        assert average_iterates(three, "full")[0] == pytest.approx(2.0)
-        assert average_iterates(three, "tail-half")[0] == pytest.approx(2.5)
+        assert three.average_full[0] == pytest.approx(2.0)
+        assert three.average_tail[0] == pytest.approx(2.5)
 
     def test_constant_iterates_average(self):
         p = FiniteSumQuadratic.interpolating([2.0], n_terms=3)
         trace, _ = sgd_run(p, ConstantHorizon(1.0, 1.0, 5), 5, p.stream(0), [2.0])
-        assert average_iterates(trace, "full")[0] == 2.0
-        assert average_iterates(trace, "tail-half")[0] == 2.0
+        assert trace.average_full[0] == 2.0
+        assert trace.average_tail[0] == 2.0
 
     def test_unknown_window(self):
         p = FiniteSumQuadratic.interpolating([2.0], n_terms=3)
-        trace, _ = sgd_run(p, ConstantHorizon(1.0, 1.0, 2), 2, p.stream(0), [2.0])
-        with pytest.raises(InputError):
-            average_iterates(trace, "head")
+        for window, chosen in (("full", "average_full"), ("tail-half", "average_tail")):
+            trace, _ = sgd_run(p, ConstantHorizon(1.0, 1.0, 2), 2, p.stream(0), [2.0],
+                               window=window)
+            assert trace.averaged_point is getattr(trace, chosen)
+        for window in ("head", "tail", ""):
+            with pytest.raises(InputError, match="averaging window"):
+                sgd_run(p, ConstantHorizon(1.0, 1.0, 2), 2, p.stream(0), [2.0],
+                        window=window)
 
     def test_determinism_bitwise(self):
         p = NormPower(s=2.0, sigma=1.0, dim=3)

@@ -25,7 +25,6 @@ from sastra.saa_solvers import (
     VRState,
     build_empirical,
     composite_prox_step,
-    empirical_value_grad,
     export_samples,
     import_samples,
     norm_power_erm_closed_form,
@@ -73,7 +72,7 @@ class TestEmpiricalValueGrad:
     def test_gradient_zero_at_mean(self):
         p = GaussianMean(mean=[0.1, -0.4], sigma=1.0, feasible_set=unconstrained(2))
         emp, _ = build_empirical(p, 32, p.stream(7))
-        _, g = empirical_value_grad(emp, emp.samples.mean(axis=0))
+        g = emp.gradient(emp.samples.mean(axis=0))
         assert np.max(np.abs(g)) <= 1e-12
 
     def test_identical_samples_equal_single_oracle(self):
@@ -81,7 +80,7 @@ class TestEmpiricalValueGrad:
         row = np.array([0.3, -0.6])
         emp = EmpiricalObjective(p, np.tile(row, (5, 1)))
         x = np.array([0.2, 0.1])
-        v, g = empirical_value_grad(emp, x)
+        v, g = emp.value(x), emp.gradient(x)
         assert v == pytest.approx(p.loss_value(x, row))
         np.testing.assert_allclose(g, p.loss_subgradient(x, row), atol=1e-14)
 
@@ -93,14 +92,14 @@ class TestEmpiricalValueGrad:
         v_ref = np.mean([p.loss_value(x, xi) for xi in emp.samples]) + 0.7 * 0.6
         g_ref = np.mean([p.loss_subgradient(x, xi) for xi in emp.samples], axis=0) \
             + 0.7 * np.sign(x)
-        v, g = empirical_value_grad(emp, x)
+        v, g = emp.value(x), emp.gradient(x)
         assert v == pytest.approx(v_ref, abs=1e-12)
         np.testing.assert_allclose(g, g_ref, atol=1e-12)
 
     def test_l1_subgradient_zero_at_zero(self):
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
         emp = EmpiricalObjective(p, np.array([[1.0], [-1.0]]), L1(2.0))
-        _, g = empirical_value_grad(emp, np.array([0.0]))
+        g = emp.gradient(np.array([0.0]))
         assert g[0] == 0.0  # term gradients cancel, sign(0) = 0
 
 
