@@ -70,6 +70,21 @@ _EXPERIMENT_KEYS = {
     "output": ("str", "report.csv"),
 }
 
+# (section, key, test, requirement) for numeric keys; every trial would fail
+# with a value outside its range, so such a config is rejected up front
+_RANGES = (
+    ("solver", "step_multiplier", lambda v: v > 0, "must be positive"),
+    ("solver", "multiplier", lambda v: v > 0, "must be positive"),
+    ("solver", "delta", lambda v: v >= 0, "must be nonnegative"),
+    ("solver", "budget", lambda v: v >= 1, "must be >= 1"),
+    ("solver", "epoch_budget", lambda v: v >= 1, "must be >= 1"),
+    ("solver", "beta", lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("experiment", "beta", lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("experiment", "trials", lambda v: v >= 1, "must be >= 1"),
+    ("experiment", "n", lambda v: v >= 1, "must be >= 1"),
+    ("experiment", "max_n", lambda v: v >= 1, "must be >= 1"),
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -155,10 +170,10 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("[experiment]: mode is required")
     elif mode not in _MODES:
         errors.append(f"[experiment]: unknown mode {mode!r}")
-    if not 0 < e.get("beta", 0.1) < 1:
-        errors.append("[experiment]: beta must lie in (0, 1)")
-    if e.get("trials", 1) < 1:
-        errors.append("[experiment]: trials must be >= 1")
+    for section, key, ok, requirement in _RANGES:
+        value = out[section].get(key)
+        if value is not None and not ok(value):
+            errors.append(f"[{section}]: {key} {requirement}")
     eps = e.get("epsilons")
     if mode in ("sample-complexity", "rate-curve") and not eps:
         errors.append(f"[experiment]: mode {mode} needs an epsilons list")

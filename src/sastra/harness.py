@@ -23,6 +23,9 @@ from .sa_solvers import (
     ConstantHorizon,
     Decreasing,
     InverseStrong,
+    TargetAccuracy,
+    batched_accelerated_run,
+    minibatch_sizes,
     restarted_budget_run,
     sgd_run,
 )
@@ -51,6 +54,8 @@ __all__ = [
 
 TRIAL_HEADER = ["trial", "seed", "solver", "problem", "N", "gap", "wall_ms"]
 CURVE_HEADER = ["epsilon", "beta", "N", "trials", "successes"]
+# multiplicative resolution of the sample-complexity bisection
+_RESOLUTION = 1.1
 
 
 @dataclass(frozen=True)
@@ -231,8 +236,6 @@ class RegularizedErmSolver:
     def run(self, problem, n, stream, epsilon=None) -> np.ndarray:
         if epsilon is None:
             raise InputError("regularized pipeline needs a target epsilon")
-        from .sa_solvers import TargetAccuracy
-
         target = TargetAccuracy(epsilon=epsilon, beta=self.beta)
         res, _ = saa.regularized_pipeline(problem, target, n, stream, budget=self.budget)
         return res.point
@@ -266,21 +269,15 @@ class BatchedAccelSolver:
         return "batched_accel"
 
     def run(self, problem, n, stream, epsilon=None) -> np.ndarray:
-        from .sa_solvers import TargetAccuracy, batched_accelerated_run
-
         c = problem.constants()
         x0 = _start_point(problem, self.start)
         radius = max(float(np.linalg.norm(x0 - problem.x_star)), 1e-8)
         # invert total samples N(eps) * r(eps) <= n over the formula pair
-        def cost(eps):
-            n_it = max(1, math.ceil(math.sqrt(c.L * radius**2 / eps)))
-            r = max(1, math.ceil(c.sigma_star_sq * n_it / (c.L * eps)))
-            return n_it * r
-
         lo, hi = 1e-12, c.L * radius**2
         for _ in range(80):
             mid = math.sqrt(lo * hi)
-            if cost(mid) <= n:
+            n_iters, r = minibatch_sizes(c, radius, mid)
+            if n_iters * r <= n:
                 hi = mid
             else:
                 lo = mid
@@ -363,15 +360,14 @@ def find_sample_complexity(
     trials: int = 50,
     max_n: int = 1_000_000,
     base_seed: int = 10_000,
-    resolution: float = 1.1,
     n_start: int = 1,
 ) -> ComplexityResult:
     """Smallest probed N with empirical success fraction >= 1 - beta.
 
     Doubles N from n_start until the criterion holds (saturating at max_n),
-    then bisects the bracketing doubling interval geometrically down to the
-    multiplicative resolution.  Probe i draws seeds from its own disjoint
-    block base_seed + i * trials + 1 .. + trials.
+    then bisects the bracketing doubling interval geometrically until
+    hi <= _RESOLUTION * lo.  Probe i draws seeds from its own disjoint block
+    base_seed + i * trials + 1 .. + trials.
     """
     if epsilon <= 0 or not 0 < beta < 1:
         raise InputError("need epsilon > 0 and beta in (0, 1)")
@@ -397,7 +393,7 @@ def find_sample_complexity(
         if succeeds(n):
             break
     lo, hi = n // 2, n
-    while hi > lo * resolution:
+    while hi > lo * _RESOLUTION:
         mid = max(lo + 1, int(round(math.sqrt(lo * hi))))
         if mid >= hi:
             break

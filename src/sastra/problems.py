@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import beta as beta_fn, betainc, ndtri
 
 from .errors import InputError, PreconditionError
-from .geometry import FeasibleSet, NormTag, contains
+from .geometry import FeasibleSet, contains
 
 __all__ = [
     "ProblemConstants",
@@ -258,7 +258,6 @@ class GaussianMean(ProblemInstance):
     mean: np.ndarray
     sigma: float
     feasible_set: FeasibleSet
-    norm: NormTag = NormTag(2)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)))
@@ -359,7 +358,6 @@ class RidgeRegression(_LinearModelProblem):
     coefficients: np.ndarray
     sigma: float
     feasible_set: FeasibleSet
-    norm: NormTag = NormTag(2)
 
     family = "ridge"
 
@@ -449,7 +447,6 @@ class NormPower(ProblemInstance):
     sigma: float
     dim: int
     feasible_set: FeasibleSet = None
-    norm: NormTag = NormTag(2)
 
     family = "norm_power"
 
@@ -537,7 +534,6 @@ class FiniteSumQuadratic(ProblemInstance):
     centers: np.ndarray
     scales: np.ndarray = None
     feasible_set: FeasibleSet = None
-    norm: NormTag = NormTag(2)
 
     family = "finite_sum_quadratic"
 
@@ -659,8 +655,7 @@ class SoftSVM(ProblemInstance):
 
     family = "soft_svm"
 
-    def __init__(self, concept, feasible_set: FeasibleSet | None = None,
-                 norm: NormTag = NormTag(2)):
+    def __init__(self, concept, feasible_set: FeasibleSet | None = None):
         self.concept = np.atleast_1d(np.asarray(concept, dtype=float))
         n = self.concept.size
         self.feasible_set = feasible_set or FeasibleSet.l2_ball(n, 1.0)
@@ -668,7 +663,6 @@ class SoftSVM(ProblemInstance):
             raise InputError("feasible set dimension mismatch")
         if self.feasible_set.kind != "l2_ball":
             raise InputError("soft_svm is defined over an l2 ball")
-        self.norm = norm
         self._kappa = float(np.linalg.norm(self.concept))
         self._axis = self.concept / self._kappa if self._kappa > 0 else np.eye(n)[0]
         self._x_star = self._minimize()

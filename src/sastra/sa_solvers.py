@@ -37,11 +37,16 @@ __all__ = [
     "restarted_budget_run",
     "BiasedSmoothOracle",
     "make_minibatch_oracle",
+    "minibatch_sizes",
     "batched_accelerated_run",
 ]
 
 _CHUNK = 1 << 16
 _MAX_GAP_CHECKPOINTS = 512
+# Smallest restart stage, and the smallest leftover a partial stage runs on.
+_N_MIN = 8
+# Longest restart schedule the budgeted search considers.
+_MAX_STAGES = 63
 
 
 class RunAborted(SastraError):
@@ -118,19 +123,19 @@ class AdaGrad:
     """gamma_k = R / sqrt(sum_{j<=k} ||g^j||_2^2), accumulated in place.
 
     A schedule instance carries its accumulator; solvers take a fresh copy so
-    identical runs stay identical.  With an all-zero history the guard value
-    gamma_max is returned instead of dividing by zero.
+    identical runs stay identical.  With an all-zero history the class
+    constant gamma_max is returned instead of dividing by zero.
     """
 
     R: float
-    gamma_max: float = 1e6
     accumulated: float = 0.0
 
     kind = "adagrad"
+    gamma_max = 1e6
 
     def __post_init__(self):
-        if self.R <= 0 or self.gamma_max <= 0 or self.accumulated < 0:
-            raise InputError("AdaGrad needs R > 0, gamma_max > 0, accumulator >= 0")
+        if self.R <= 0 or self.accumulated < 0:
+            raise InputError("AdaGrad needs R > 0, accumulator >= 0")
 
     def fresh(self):
         return replace(self, accumulated=0.0)
@@ -157,22 +162,16 @@ def step_size(schedule, k: int, last_gradient=None) -> float:
 
 @dataclass(frozen=True)
 class TargetAccuracy:
-    """Accuracy contract: gap epsilon with failure probability beta.
-
-    delta is the inner (empirical-problem) accuracy used by offline pipelines.
-    """
+    """Accuracy contract: gap epsilon with failure probability beta."""
 
     epsilon: float
     beta: float
-    delta: float = 0.0
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise InputError("epsilon must be positive")
         if not 0.0 < self.beta < 1.0:
             raise InputError("beta must lie in (0, 1)")
-        if self.delta < 0:
-            raise InputError("delta must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +220,14 @@ def sgd_run(
     stream: SampleStream,
     x0,
     record_gaps: bool = False,
-    window: str | None = None,
 ) -> tuple[RunTrace, SampleStream]:
     """Run x^{k+1} = mirror_step(Q, x^k, grad f(x^k, xi^k), gamma_k), k = 1..N.
 
     Averages the pre-update iterates x^1..x^N.  Consumes exactly n_steps
     samples from the stream and returns the advanced stream alongside the
-    trace.  window picks the averaged point: "full" or "tail-half"; the
-    default is tail-half under the strongly convex 1/(mu k) policy and the
-    full window otherwise.
+    trace.  The averaged point is the tail-half average under the strongly
+    convex 1/(mu k) policy and the full average otherwise; both windows are
+    on the trace.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
@@ -237,10 +235,7 @@ def sgd_run(
     x = problem._coerce_point(x0)
     if not contains(set_, x):
         raise PreconditionError("x0 must lie in the feasible set")
-    if window is None:
-        window = "tail-half" if getattr(schedule, "kind", "") == "inverse_strong" else "full"
-    elif window not in ("full", "tail-half"):
-        raise InputError(f"unknown averaging window {window!r}")
+    tail_window = getattr(schedule, "kind", "") == "inverse_strong"
 
     schedule = schedule.fresh()
     stepper = make_mirror_stepper(set_)
@@ -280,7 +275,7 @@ def sgd_run(
 
     avg_full = sum_full / n_steps
     avg_tail = sum_tail / ((n_steps + 1) // 2)
-    averaged = avg_tail if window == "tail-half" else avg_full
+    averaged = avg_tail if tail_window else avg_full
     trace = RunTrace(
         iterations=n_steps,
         final_point=x,
@@ -298,38 +293,45 @@ def sgd_run(
 # ---------------------------------------------------------------------------
 
 
+def _growth_constants(problem: ProblemInstance):
+    c = problem.constants()
+    if c.mu_ps <= 0:
+        raise NotApplicableError("restarts need a declared growth modulus mu_ps > 0")
+    if not math.isfinite(c.M_p):
+        raise NotApplicableError("restarts need a finite Lipschitz bound M_p")
+    return c
+
+
+def _stage_sizes(c, beta: float, R1: float, multiplier: float, kappa: int) -> list[int]:
+    """Sample counts of the kappa stages of a restart schedule."""
+    s = c.s
+    log_term = math.log(max(kappa / beta, math.e))
+    plan = []
+    radius = R1
+    for _ in range(kappa):
+        n_l = multiplier * c.M_p**2 * log_term / (c.mu_ps**2 * radius ** (2.0 * (s - 1.0)))
+        plan.append(max(_N_MIN, math.ceil(n_l)))
+        radius *= 2.0 ** (-1.0 / s)
+    return plan
+
+
 def restart_stage_plan(
     problem: ProblemInstance,
     epsilon: float,
     beta: float,
     R1: float,
     multiplier: float = 1.0,
-    n_min: int = 8,
-    stages: int | None = None,
 ) -> list[int]:
     """Per-stage sample counts of the restart schedule.
 
     Stage radii satisfy R_{l+1}^s = R_1^s 2^{-l}; stage l is sized so one
     averaged run halves the growth-scaled radius with confidence beta/kappa:
-    N_l = ceil(mult * M^2 log(kappa/beta) / (mu_{p,s}^2 R_l^{2(s-1)})).
+    N_l = ceil(mult * M^2 log(kappa/beta) / (mu_{p,s}^2 R_l^{2(s-1)})), and
+    kappa is chosen so mu_{p,s} R_1^s 2^{-(kappa+1)} <= epsilon.
     """
-    c = problem.constants()
-    if c.mu_ps <= 0:
-        raise NotApplicableError("restarts need a declared growth modulus mu_ps > 0")
-    if not math.isfinite(c.M_p):
-        raise NotApplicableError("restarts need a finite Lipschitz bound M_p")
-    s = c.s
-    if stages is None:
-        kappa = math.ceil(math.log2(max(c.mu_ps * R1**s / epsilon, 1e-300))) - 1
-        stages = max(1, kappa)
-    log_term = math.log(max(stages / beta, math.e))
-    plan = []
-    radius = R1
-    for _ in range(stages):
-        n_l = multiplier * c.M_p**2 * log_term / (c.mu_ps**2 * radius ** (2.0 * (s - 1.0)))
-        plan.append(max(n_min, math.ceil(n_l)))
-        radius *= 2.0 ** (-1.0 / s)
-    return plan
+    c = _growth_constants(problem)
+    kappa = math.ceil(math.log2(max(c.mu_ps * R1**c.s / epsilon, 1e-300))) - 1
+    return _stage_sizes(c, beta, R1, multiplier, max(1, kappa))
 
 
 def restarted_run(
@@ -339,7 +341,6 @@ def restarted_run(
     stream: SampleStream,
     x0,
     multiplier: float = 1.0,
-    n_min: int = 8,
 ) -> tuple[RunTrace, SampleStream]:
     """Restarted mirror descent: halve the growth radius per stage.
 
@@ -350,9 +351,7 @@ def restarted_run(
     radius.  When the target is loose enough that no halving is required, a
     single stage is run.
     """
-    plan = restart_stage_plan(
-        problem, target.epsilon, target.beta, R1, multiplier, n_min
-    )
+    plan = restart_stage_plan(problem, target.epsilon, target.beta, R1, multiplier)
     return _run_stages(problem, [(n, n) for n in plan], R1, stream, x0)
 
 
@@ -364,7 +363,6 @@ def restarted_budget_run(
     stream: SampleStream,
     x0,
     multiplier: float = 1.0,
-    n_min: int = 8,
 ) -> tuple[RunTrace, SampleStream]:
     """Budgeted variant for sample-complexity probing.
 
@@ -376,29 +374,24 @@ def restarted_budget_run(
     """
     if total_budget < 1:
         raise InputError("total_budget must be >= 1")
-    best = 0
-    for stages in range(1, 64):
-        plan = restart_stage_plan(
-            problem, 1.0, beta, R1, multiplier, n_min, stages=stages
-        )
-        if sum(plan) <= total_budget:
-            best = stages
-        else:
+    c = _growth_constants(problem)
+    # Plans are not prefixes of each other (the log term grows with the stage
+    # count), so the search keeps the last plan that fits and stops at the
+    # first that does not: the partial stage comes from that one.
+    fitting = []
+    for stages in range(1, _MAX_STAGES + 2):
+        plan = _stage_sizes(c, beta, R1, multiplier, stages)
+        if stages > _MAX_STAGES or sum(plan) > total_budget:
             break
+        fitting = plan
+    best = len(fitting)
     if best == 0:
-        horizon = restart_stage_plan(
-            problem, 1.0, beta, R1, multiplier, n_min, stages=1
-        )[0]
-        stage_runs = [(total_budget, horizon)]
+        stage_runs = [(total_budget, plan[0])]
     else:
-        plan = restart_stage_plan(problem, 1.0, beta, R1, multiplier, n_min, stages=best)
-        stage_runs = [(n, n) for n in plan]
-        leftover = total_budget - sum(plan)
-        if leftover >= n_min:
-            next_plan = restart_stage_plan(
-                problem, 1.0, beta, R1, multiplier, n_min, stages=best + 1
-            )
-            stage_runs.append((min(leftover, next_plan[best]), next_plan[best]))
+        stage_runs = [(n, n) for n in fitting]
+        leftover = total_budget - sum(fitting)
+        if leftover >= _N_MIN:
+            stage_runs.append((min(leftover, plan[best]), plan[best]))
     return _run_stages(problem, stage_runs, R1, stream, x0)
 
 
@@ -411,7 +404,7 @@ def _run_stages(problem, stage_runs, R1, stream, x0):
     trace = None
     for steps, horizon in stage_runs:
         schedule = ConstantHorizon(R=radius, M=c.M_p, N=horizon)
-        trace, stream = sgd_run(problem, schedule, steps, stream, x, window="tail-half")
+        trace, stream = sgd_run(problem, schedule, steps, stream, x)
         x = trace.average_tail
         total += steps
         radius *= 2.0 ** (-1.0 / s)
@@ -466,20 +459,29 @@ def make_minibatch_oracle(problem: ProblemInstance, r: int) -> BiasedSmoothOracl
     )
 
 
+def minibatch_sizes(c, radius: float, epsilon: float) -> tuple[int, int]:
+    """(N, r) of the batched accelerated method for constants c.
+
+    N = ceil(sqrt(L R^2 / eps)) iterations and batches of
+    r = ceil(sigma^2 N / (L eps)), the alpha = 2, zeta = 1 scaling of
+    accelerated schemes.
+    """
+    n_iters = max(1, math.ceil(math.sqrt(c.L * radius**2 / epsilon)))
+    r = max(1, math.ceil(c.sigma_star_sq * n_iters / (c.L * epsilon)))
+    return n_iters, r
+
+
 def batched_accelerated_run(
     problem: ProblemInstance,
     target: TargetAccuracy,
     stream: SampleStream,
     x0,
-    mult_iters: float = 1.0,
-    mult_batch: float = 1.0,
     radius: float | None = None,
 ) -> tuple[RunTrace, SampleStream]:
     """Accelerated two-sequence method driven by a minibatch oracle.
 
-    Sizes N = ceil(sqrt(L R^2 / eps)) iterations and batches of
-    r = ceil(sigma^2 N / (L eps)), the alpha = 2, zeta = 1 scaling of
-    accelerated schemes; total samples N * r are recorded on the trace.
+    Runs minibatch_sizes(...) = (N, r): N iterations on batches of r
+    gradients; total samples N * r are recorded on the trace.
     """
     c = problem.constants()
     if not math.isfinite(c.L):
@@ -496,8 +498,7 @@ def batched_accelerated_run(
         if radius == 0.0 and set_.is_bounded:
             radius = set_.radius
         radius = max(radius, 1e-8)
-    n_iters = max(1, math.ceil(mult_iters * math.sqrt(c.L * radius**2 / target.epsilon)))
-    r = max(1, math.ceil(mult_batch * c.sigma_star_sq * n_iters / (c.L * target.epsilon)))
+    n_iters, r = minibatch_sizes(c, radius, target.epsilon)
     oracle = make_minibatch_oracle(problem, r)
 
     gamma = 1.0 / (2.0 * c.L)  # the batched-oracle analysis runs A(2L, .)

@@ -194,20 +194,19 @@ def composite_prox_step(x, g, gamma: float, composite, set_: FeasibleSet) -> np.
     square, so it is a projected step of the shrunk point for every set; L1
     soft-thresholds and then projects, which is exact for the unconstrained
     space and for origin-centered l2/l1 balls, and rejected otherwise (on the
-    simplex the l1 term is constant, also rejected).
+    simplex the l1 term is constant, also rejected).  On the unconstrained
+    space the unprojected point is returned: it is a new array already.
     """
     if not gamma > 0:
         raise InputError("gamma must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     g = np.atleast_1d(np.asarray(g, dtype=float))
     v = x - gamma * g
-    if composite is None:
-        return project(set_, v)
     if isinstance(composite, HalfSqL2):
         gm = gamma * composite.mu
         w = v if composite.center is None else v + gm * composite.center
-        return project(set_, w / (1.0 + gm))
-    if isinstance(composite, L1):
+        v = w / (1.0 + gm)
+    elif isinstance(composite, L1):
         if set_.kind == "simplex":
             raise UnsupportedCombinationError(
                 "l1 composite is constant on the simplex; pair rejected"
@@ -216,8 +215,10 @@ def composite_prox_step(x, g, gamma: float, composite, set_: FeasibleSet) -> np.
             raise UnsupportedCombinationError(
                 "l1 composite has no closed form on off-center balls"
             )
-        return project(set_, _soft_threshold(v, gamma * composite.lam))
-    raise UnsupportedCombinationError(f"unknown composite {composite!r}")
+        v = _soft_threshold(v, gamma * composite.lam)
+    elif composite is not None:
+        raise UnsupportedCombinationError(f"unknown composite {composite!r}")
+    return project(set_, v) if set_.is_bounded else v
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +369,12 @@ def regularized_pipeline(
 ) -> tuple[ErmResult, SampleStream]:
     """Tikhonov-regularized ERM for convex problems on bounded sets.
 
-    Adds (eps / (2 R^2)) ||x||_2^2 to the empirical objective (modulus
-    mu = eps / R^2, centered at the origin), solves it to the inner accuracy
+    Adds (eps / (2 R^2)) ||x - c||_2^2 to the empirical objective (modulus
+    mu = eps / R^2, centred at the ball centre c, or at the origin on the
+    simplex, where R = 1 bounds ||x||), solves it to the inner accuracy
     delta = eps^3 / (8 M^2 R^2), and returns that solution: a gap of at most
-    eps/2 on the regularized problem is a gap of at most eps on the original.
+    eps/2 on the regularized problem is a gap of at most eps on the original,
+    because the added term is at most eps/2 on the set.
     """
     set_ = problem.feasible_set
     if not set_.is_bounded:
@@ -381,7 +384,7 @@ def regularized_pipeline(
         raise NotApplicableError("pipeline needs a finite Lipschitz bound M_p")
     r2 = set_.radius if set_.kind != "simplex" else 1.0
     mu, delta = tikhonov_parameters(target.epsilon, c.M_p, r2)
-    emp, stream = build_empirical(problem, n, stream, HalfSqL2(mu))
+    emp, stream = build_empirical(problem, n, stream, HalfSqL2(mu, set_.center))
     result = solve_erm(emp, delta, budget=budget, x0=x0)
     return result, stream
 
@@ -393,23 +396,16 @@ def regularized_pipeline(
 
 @dataclass(eq=False)
 class VRState:
-    """Reference point with its exact full gradient for control variates.
-
-    epoch_length and step record the loop geometry the state was built for
-    (zero until a solver fills them in).
-    """
+    """Reference point with its exact full gradient for control variates."""
 
     reference: np.ndarray
     full_gradient: np.ndarray
     stale: bool = False
-    epoch_length: int = 0
-    step: float = 0.0
 
     @staticmethod
-    def at(e: EmpiricalObjective, point, epoch_length: int = 0,
-           step: float = 0.0) -> "VRState":
+    def at(e: EmpiricalObjective, point) -> "VRState":
         point = e.problem._coerce_point(point)
-        return VRState(point.copy(), e.gradient(point), False, epoch_length, step)
+        return VRState(point.copy(), e.gradient(point), False)
 
 
 def vr_gradient(state: VRState, e: EmpiricalObjective, x, t: int) -> np.ndarray:
@@ -476,7 +472,7 @@ def vr_solve(
     history = []
 
     for epoch in range(1, budget_epochs + 1):
-        state = VRState.at(e, x, epoch_length=epoch_len, step=eta)
+        state = VRState.at(e, x)
         term_evals += n
         # certificate at the reference, where the full gradient is free
         if unconstrained:
@@ -492,7 +488,7 @@ def vr_solve(
         ts = np.minimum((u * n).astype(np.int64), n - 1)
         for t in ts:
             g = vr_gradient(state, e, x, int(t))
-            x = x - eta * g if unconstrained else project(set_, x - eta * g)
+            x = composite_prox_step(x, g, eta, None, set_)
             term_evals += 2
     return VrResult(x, budget_epochs, term_evals / n, False, e.value(x),
                     tuple(history))

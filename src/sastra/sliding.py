@@ -33,9 +33,13 @@ __all__ = [
     "SlidingResult",
     "inner_solve",
     "sliding_run",
-    "accelerated_reference_run",
     "check_smoothness",
 ]
+
+# check_smoothness: probe pairs drawn from [-1, 1]^n, and the relative slack
+# that absorbs rounding in ||grad(u) - grad(v)|| <= L ||u - v||.
+_PROBE_PAIRS = 8
+_PROBE_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,6 @@ class SlidingParams:
     L_h: float
     mu: float
     inner_budget: int = 50_000
-    inner_method: str = "agd"  # agd (default) | gd
     tau: float = field(init=False)
     eta: float = field(init=False)
 
@@ -63,8 +66,6 @@ class SlidingParams:
             raise InputError("sliding assumes L_g <= L_h")
         if self.mu <= 0:
             raise InputError("sliding needs mu > 0")
-        if self.inner_method not in ("agd", "gd"):
-            raise InputError(f"unknown inner method {self.inner_method!r}")
         if self.mu > self.L_g:
             warnings.warn(
                 "mu > L_g: step weight saturates at 1/(2 mu), an untested regime",
@@ -117,8 +118,9 @@ class InnerModel:
 def inner_solve(model: InnerModel, params: SlidingParams, tol_override: float | None = None):
     """Drive ||grad A|| below the acceptance threshold; returns the point.
 
-    Runs momentum gradient descent with step 1/(2 L_g + L_h) (plain descent
-    with inner_method="gd").  The threshold is (L_g^2 / 3) times the squared
+    Runs momentum gradient descent with step 1/(2 L_g + L_h) and the
+    strongly convex momentum (1 - sqrt q) / (1 + sqrt q), q = 2 L_g /
+    (2 L_g + L_h).  The threshold is (L_g^2 / 3) times the squared
     strong-convexity lower bound on ||x~ - argmin A||; an anchor that is
     already optimal is returned after zero steps.
     """
@@ -137,7 +139,7 @@ def inner_solve(model: InnerModel, params: SlidingParams, tol_override: float | 
         threshold = min(threshold, tol_override)
 
     q = 2.0 * params.L_g / l_total
-    beta = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q)) if params.inner_method == "agd" else 0.0
+    beta = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
 
     y = x_tilde.copy()
     x_prev = x_tilde.copy()
@@ -215,69 +217,19 @@ def sliding_run(
     return SlidingResult(x_f, ledger, False, gap_bound)
 
 
-def accelerated_reference_run(
-    grad_g,
-    L_g: float,
-    mu: float,
-    x0,
-    target_gap: float,
-    budget: int,
-) -> SlidingResult:
-    """Standalone accelerated method: the h = 0 degenerate form, written out.
-
-    Uses the same coefficient formulas as SlidingParams (with the composite
-    smoothness argument vacuous) and the same update expressions, so a
-    sliding run with grad_h None produces bit-identical iterates.
-    """
-    if budget < 1:
-        raise InputError("budget must be >= 1")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    tau = min(1.0, math.sqrt(mu) / (2.0 * math.sqrt(L_g)))
-    eta = min(1.0 / (2.0 * mu), 1.0 / (2.0 * math.sqrt(mu * L_g)))
-    ledger = CallLedger()
-
-    x = x0.copy()
-    x_f = x0.copy()
-    gap_bound = math.inf
-    for _ in range(budget):
-        ledger.outer_iterations += 1
-        x_tilde = tau * x + (1.0 - tau) * x_f
-        ledger.grad_g_calls += 1
-        gg = grad_g(x_tilde)
-        x_f1 = x_tilde - gg / (2.0 * L_g)
-        ledger.grad_g_calls += 1
-        gbar = grad_g(x_f1)
-        gap_bound = float(gbar @ gbar) / (2.0 * mu)
-        if gap_bound <= target_gap:
-            return SlidingResult(x_f1, ledger, True, gap_bound)
-        if not math.isfinite(gap_bound):
-            return SlidingResult(x_f, ledger, False, gap_bound)
-        x = x + (eta * mu) * (x_f1 - x) - eta * gbar
-        x_f = x_f1
-    return SlidingResult(x_f, ledger, False, gap_bound)
-
-
-def check_smoothness(
-    grad_fn,
-    L: float,
-    dimension: int,
-    seed: int = 0,
-    pairs: int = 8,
-    scale: float = 1.0,
-    slack: float = 1e-6,
-) -> None:
+def check_smoothness(grad_fn, L: float, dimension: int) -> None:
     """Finite-difference Lipschitz probe of a gradient oracle.
 
-    Draws deterministic point pairs and checks ||grad(u) - grad(v)|| <=
-    L ||u - v|| (1 + slack).  Convexity is deliberately never checked.
-    Raises InputError on a violated pair.
+    Draws deterministic point pairs in [-1, 1]^n and checks
+    ||grad(u) - grad(v)|| <= L ||u - v|| (1 + slack).  Convexity is
+    deliberately never checked.  Raises InputError on a violated pair.
     """
-    u = uniform_values(seed, 0, 2 * pairs * dimension)
-    pts = (2.0 * u - 1.0).reshape(2 * pairs, dimension) * scale
-    for i in range(pairs):
+    u = uniform_values(0, 0, 2 * _PROBE_PAIRS * dimension)
+    pts = (2.0 * u - 1.0).reshape(2 * _PROBE_PAIRS, dimension)
+    for i in range(_PROBE_PAIRS):
         a, b = pts[2 * i], pts[2 * i + 1]
         lhs = float(np.linalg.norm(np.asarray(grad_fn(a)) - np.asarray(grad_fn(b))))
-        rhs = L * float(np.linalg.norm(a - b)) * (1.0 + slack)
+        rhs = L * float(np.linalg.norm(a - b)) * (1.0 + _PROBE_SLACK)
         if lhs > rhs:
             raise InputError(
                 f"gradient violates {L}-smoothness on probe pair {i}: {lhs:.3e} > {rhs:.3e}"

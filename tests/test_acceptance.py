@@ -36,7 +36,9 @@ from sastra.sa_solvers import (
     sgd_run,
 )
 from sastra import saa_solvers as saa
-from sastra.sliding import SlidingParams, accelerated_reference_run, sliding_run
+from sastra.sliding import SlidingParams, sliding_run
+
+from reference import accelerated_reference_run
 
 
 def verdict(ident, ok, detail):

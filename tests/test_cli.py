@@ -100,6 +100,27 @@ mode = dance
             assert frag in msgs
         assert len(err.value.errors) >= 4
 
+    def test_out_of_range_values_collected(self):
+        # each of these made every trial fail while the run exited 0
+        bad = {
+            ("solver", "step_multiplier"): "-1",
+            ("solver", "multiplier"): "0",
+            ("solver", "delta"): "-1",
+            ("solver", "budget"): "0",
+            ("solver", "epoch_budget"): "0",
+            ("solver", "beta"): "1.5",
+            ("experiment", "n"): "0",
+            ("experiment", "max_n"): "0",
+        }
+        text = MINIMAL.format(out="r.csv").replace("n = 100\n", "")
+        for (section, key), value in bad.items():
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        for section, key in bad:
+            assert any(m.startswith(f"[{section}]: {key} ") for m in err.value.errors), key
+        assert len(err.value.errors) == len(bad)
+
     def test_roundtrip(self):
         cfg = parse_config(CURVE.format(out="c.csv"))
         again = parse_config(format_config(cfg))

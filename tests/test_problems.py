@@ -205,6 +205,62 @@ class TestConstants:
                         assert (np.linalg.norm(grads[i] - grads[i + 1])
                                 <= c.L * np.linalg.norm(xs[i] - xs[i + 1]) * (1 + 1e-12))
 
+    @pytest.mark.parametrize("family", ["gaussian_mean", "ridge", "lasso", "finite_sum"])
+    def test_family_constants_hold_on_every_set(self, family):
+        # the declared M_p bounds ||grad f(x, xi)|| at random and extreme
+        # feasible x for samples of the problem's own stream plus one sample
+        # at the edge of the documented range that maximizes the gradient at
+        # x (gaussian_mean: ||xi - mean|| = 3 sigma sqrt n away from x;
+        # ridge: a of norm sqrt n along x - x*, noise -3 sigma), and L bounds
+        # the gradient differences; off-centre balls included
+        rng = np.random.default_rng(23)
+        n, sigma = 4, 0.7
+        center = np.array([0.9, -0.6, 0.3, 0.0])
+        for set_ in (
+            FeasibleSet.unconstrained(n),
+            FeasibleSet.l2_ball(n, 1.5),
+            FeasibleSet.l2_ball(n, 1.7, center=center),
+            FeasibleSet.l1_ball(n, 2.0),
+            FeasibleSet.l1_ball(n, 2.5, center=center),
+            FeasibleSet.simplex(n),
+        ):
+            if set_.kind == "simplex":
+                optimum = rng.dirichlet(np.ones(n))
+                xs = [project(set_, rng.normal(size=n)) for _ in range(60)] + list(np.eye(n))
+            elif set_.kind == "unconstrained":
+                optimum = rng.normal(size=n)
+                xs = [rng.normal(size=n) * rng.uniform(0.1, 6.0) for _ in range(60)]
+            else:
+                optimum = set_.center + 0.4 * set_.radius * rng.dirichlet(np.ones(n))
+                xs = [_random_feasible(set_, rng, scale=rng.uniform(0.1, 2.0))
+                      for _ in range(60)]
+                units = ([u / np.linalg.norm(u) for u in rng.normal(size=(20, n))]
+                         if set_.kind == "l2_ball" else list(np.eye(n)) + list(-np.eye(n)))
+                xs += [set_.center + set_.radius * u for u in units]
+            if family == "gaussian_mean":
+                p = GaussianMean(mean=optimum, sigma=sigma, feasible_set=set_)
+            elif family == "finite_sum":
+                p = FiniteSumQuadratic.from_seed(n, 6, 1.3, seed=5, scales=[0.5, 1.0, 2.0, 3.0],
+                                                 set_=set_, mean=optimum)
+            else:
+                cls = RidgeRegression if family == "ridge" else Lasso
+                p = cls(coefficients=optimum, sigma=sigma, feasible_set=set_)
+            c = p.constants()
+            assert math.isinf(c.M_p) == (set_.kind == "unconstrained")
+            rows, _ = p.stream(3).draw_block(20)
+            for x, y in zip(xs, xs[1:] + xs[:1]):
+                samples = list(rows)
+                away = (x - optimum) / max(np.linalg.norm(x - optimum), 1e-300)
+                if family == "gaussian_mean":
+                    samples.append(optimum - 3.0 * sigma * math.sqrt(n) * away)
+                elif family != "finite_sum":
+                    a = math.sqrt(n) * away
+                    samples.append(np.append(a, a @ optimum - 3.0 * sigma))
+                for xi in samples:
+                    gx, gy = p.loss_subgradient(x, xi), p.loss_subgradient(y, xi)
+                    assert np.linalg.norm(gx) <= c.M_p * (1 + 1e-12)
+                    assert np.linalg.norm(gx - gy) <= c.L * np.linalg.norm(x - y) * (1 + 1e-12)
+
     def test_interpolating_sum_sigma_star(self):
         p = FiniteSumQuadratic.interpolating([1.0, -2.0], n_terms=5)
         assert p.constants().sigma_star_sq == 0.0

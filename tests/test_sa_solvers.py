@@ -59,8 +59,8 @@ class TestStepSize:
         assert gamma == pytest.approx(0.5)
 
     def test_adagrad_zero_history_guard(self):
-        sch = AdaGrad(R=1.0, gamma_max=7.0)
-        assert step_size(sch, 1, np.zeros(3)) == 7.0
+        sch = AdaGrad(R=1.0)
+        assert step_size(sch, 1, np.zeros(3)) == AdaGrad.gamma_max
 
     def test_adagrad_fresh_resets(self):
         sch = AdaGrad(R=1.0)
@@ -123,16 +123,17 @@ class TestSgdRun:
         assert trace.average_full[0] == 2.0
         assert trace.average_tail[0] == 2.0
 
-    def test_unknown_window(self):
+    def test_default_window_rule(self):
+        # tail-half under the 1/(mu k) policy, the full window otherwise
         p = FiniteSumQuadratic.interpolating([2.0], n_terms=3)
-        for window, chosen in (("full", "average_full"), ("tail-half", "average_tail")):
-            trace, _ = sgd_run(p, ConstantHorizon(1.0, 1.0, 2), 2, p.stream(0), [2.0],
-                               window=window)
+        for schedule, chosen in (
+            (ConstantHorizon(1.0, 1.0, 2), "average_full"),
+            (Decreasing(1.0, 1.0), "average_full"),
+            (AdaGrad(R=1.0), "average_full"),
+            (InverseStrong(1.0), "average_tail"),
+        ):
+            trace, _ = sgd_run(p, schedule, 2, p.stream(0), [2.0])
             assert trace.averaged_point is getattr(trace, chosen)
-        for window in ("head", "tail", ""):
-            with pytest.raises(InputError, match="averaging window"):
-                sgd_run(p, ConstantHorizon(1.0, 1.0, 2), 2, p.stream(0), [2.0],
-                        window=window)
 
     def test_determinism_bitwise(self):
         p = NormPower(s=2.0, sigma=1.0, dim=3)
@@ -338,5 +339,3 @@ class TestTargetAccuracy:
             TargetAccuracy(epsilon=0.0, beta=0.5)
         with pytest.raises(InputError):
             TargetAccuracy(epsilon=0.1, beta=1.0)
-        with pytest.raises(InputError):
-            TargetAccuracy(epsilon=0.1, beta=0.5, delta=-1.0)

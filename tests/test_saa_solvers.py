@@ -191,6 +191,17 @@ class TestRegularizedPipeline:
         assert res.certified
         assert p.population_gap(res.point) <= 0.2
 
+    def test_off_centre_ball_keeps_epsilon_contract(self):
+        # mu = eps / R^2 bounds the Tikhonov term by eps/2 only around the
+        # ball centre; pulled toward the origin, 10 away, no trial met eps
+        p = GaussianMean(mean=[10.0], sigma=1.0,
+                         feasible_set=FeasibleSet.l2_ball(1, 1.0, center=[10.0]))
+        for seed in range(7001, 7011):
+            res, _ = regularized_pipeline(p, TargetAccuracy(0.1, 0.1), 20_000,
+                                          p.stream(seed))
+            assert res.certified
+            assert p.population_gap(res.point) <= 0.1, seed
+
     def test_needs_bounded_set(self):
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
         with pytest.raises(NotApplicableError):

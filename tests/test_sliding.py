@@ -8,11 +8,12 @@ from sastra.sliding import (
     CallLedger,
     InnerModel,
     SlidingParams,
-    accelerated_reference_run,
     check_smoothness,
     inner_solve,
     sliding_run,
 )
+
+from reference import accelerated_reference_run
 
 
 def quadratic(eigs, seed, n=None):
@@ -85,17 +86,9 @@ class TestInnerSolve:
 
     def test_budget_exhaustion_diagnostic(self):
         model, *_ = self.make_model(seed=5, lh=500.0)
-        params = SlidingParams(L_g=1.0, L_h=500.0, mu=0.5,
-                               inner_budget=2, inner_method="gd")
+        params = SlidingParams(L_g=1.0, L_h=500.0, mu=0.5, inner_budget=2)
         with pytest.raises(SastraError, match="unreachable"):
             inner_solve(model, params)
-
-    def test_gd_method_converges(self):
-        model, ah, bh, gg = self.make_model(seed=7)
-        params = SlidingParams(L_g=1.0, L_h=20.0, mu=0.5, inner_method="gd")
-        out = inner_solve(model, params, tol_override=1e-20)
-        x_ref = np.linalg.solve(2.0 * np.eye(6) + ah, -(gg + bh))
-        np.testing.assert_allclose(out, x_ref, atol=1e-7)
 
 
 class TestSlidingRun:
