@@ -97,18 +97,29 @@ class ExperimentConfig:
 
 
 def _parse_value(tag: str, raw: str, where: str, errors: list):
+    """The typed value of one key, or None after appending its error.
+
+    Every float, alone or in a list, must be finite: float() accepts nan
+    and inf, which no key can use.
+    """
     raw = raw.strip()
     try:
         if tag == "int":
             return int(raw)
         if tag == "float":
-            return float(raw)
-        if tag == "floats":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        return raw
+            value = float(raw)
+            floats = (value,)
+        elif tag == "floats":
+            value = floats = tuple(float(v) for v in raw.split(",") if v.strip())
+        else:
+            return raw
     except ValueError:
         errors.append(f"{where}: cannot parse {raw!r} as {tag}")
         return None
+    if not all(math.isfinite(v) for v in floats):
+        errors.append(f"{where}: {raw!r} is not finite")
+        return None
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -375,7 +386,7 @@ def dispatch(config: ExperimentConfig, strict: bool = False, out: str | None = N
 def builtin_verify():
     """Fast self-checks of the core algebraic contracts; returns (name, ok, detail)."""
     from .geometry import mirror_step, project
-    from .problems import FiniteSumQuadratic, GaussianMean
+    from .problems import FiniteSumQuadratic, GaussianMean, NormPower
     from .sa_solvers import InverseStrong, sgd_run
 
     checks = []
@@ -433,13 +444,21 @@ def builtin_verify():
             raise AssertionError(f"prox value {out[0]} != -0.2")
 
     def determinism():
-        p = GaussianMean(mean=[0.0], sigma=1.0,
-                         feasible_set=FeasibleSet.unconstrained(1))
-        solver = harness.SgdSolver(schedule="inverse_strong")
-        batch = harness.run_trials(solver, p, 50, 8, 100)
-        singles = [harness.run_trials(solver, p, 50, 1, 100 + t)[0] for t in range(8)]
-        if [(r.seed, r.gap) for r in batch] != [(r.seed, r.gap) for r in singles]:
-            raise AssertionError("trial results depend on batching")
+        # the block paths: stateless steps, restart stages, per-row AdaGrad
+        cases = (
+            (harness.SgdSolver(schedule="inverse_strong"), 50,
+             GaussianMean(mean=[0.0], sigma=1.0, feasible_set=FeasibleSet.unconstrained(1))),
+            (harness.RestartSolver(), 400, NormPower(s=2.0, sigma=1.0, dim=5)),
+            (harness.SgdSolver(schedule="adagrad"), 50,
+             GaussianMean(mean=[0.2, 0.3, 0.5], sigma=1.0, feasible_set=FeasibleSet.simplex(3))),
+        )
+        for solver, n, p in cases:
+            batch = harness.run_trials(solver, p, n, 8, 100)
+            singles = [harness.run_trials(solver, p, n, 1, 100 + t)[0] for t in range(8)]
+            if [(r.seed, r.gap, r.diagnostic) for r in batch] != [
+                (r.seed, r.gap, r.diagnostic) for r in singles
+            ]:
+                raise AssertionError(f"{solver.id} trial results depend on batching")
 
     check("geometry projections (nonexpansive, idempotent)", geometry_suite)
     check("simplex entropic step stays normalized", simplex_norm)

@@ -5,6 +5,11 @@ probability simplex.  Projections onto the l1-ball and the simplex use the
 sort-based threshold search (O(n log n), exact up to float rounding), which is
 easy to test against brute force.  The entropic simplex step is evaluated in
 shifted log-space so large step * gradient products cannot overflow.
+
+Projections and steps work row by row: a point is a vector of shape (n,) or
+a block of shape (T, n), one point per row, and every norm, sort and shift
+runs along the last axis.  A row's result does not depend on the rows beside
+it, so a block of T points gives, bit for bit, the T one-point results.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
     "set_diameter",
     "contains",
     "make_mirror_stepper",
+    "row_dot",
     "MEMBERSHIP_TOL",
 ]
 
@@ -122,41 +128,53 @@ class FeasibleSet:
 
 def _check_vector(set_: FeasibleSet, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (set_.dimension,):
+    if x.ndim not in (1, 2) or x.shape[-1] != set_.dimension:
         raise InputError(
-            f"vector has shape {x.shape}, expected ({set_.dimension},)"
+            f"vector has shape {x.shape}, expected ({set_.dimension},) or (T, {set_.dimension})"
         )
     return x
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> along the last axis, kept as a length-1 axis: shape (..., 1).
+
+    Each row is one dot product, the one ``a @ b`` computes on a vector, so
+    a row's value is the same alone or in a block.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+
+
 def _simplex_project(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto {x : x >= 0, sum x = radius}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - radius
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
+    """Euclidean projection of each row onto {x : x >= 0, sum x = radius}."""
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - radius
+    above = u * np.arange(1, n + 1) > css
+    # rho: the last index where u_rho * (rho + 1) > css_rho
+    rho = n - 1 - np.argmax(above[..., ::-1], axis=-1)[..., None]
+    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
 
 def _l1_project(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto {x : ||x||_1 <= radius}."""
-    if np.abs(v).sum() <= radius:
+    """Euclidean projection of each row onto {x : ||x||_1 <= radius}."""
+    a = np.abs(v)
+    inside = a.sum(axis=-1, keepdims=True) <= radius
+    if inside.all():
         return v
-    w = _simplex_project(np.abs(v), radius)
-    return np.sign(v) * w
+    return np.where(inside, v, np.sign(v) * _simplex_project(a, radius))
 
 
 def _l2_project(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto {x : ||x||_2 <= radius}, shrinking v in place."""
-    nrm = np.sqrt(v @ v)
-    if nrm > radius:
-        v *= radius / nrm
+    """Projection of each row onto {x : ||x||_2 <= radius}, shrinking v in place."""
+    nrm = np.sqrt(row_dot(v, v))
+    v *= radius / np.maximum(nrm, radius)  # exactly 1 inside the ball
     return v
 
 
 # One Euclidean projection per set kind, onto the origin-centred set of the
-# given radius.  Each takes a vector its caller owns and may overwrite it.
+# given radius.  Each takes a vector or block its caller owns and may
+# overwrite it.
 _PROJECTIONS = {
     UNCONSTRAINED: lambda v, radius: v,
     L2_BALL: _l2_project,
@@ -179,7 +197,8 @@ def _projector(set_: FeasibleSet):
 
 
 def project(set_: FeasibleSet, x) -> np.ndarray:
-    """Euclidean projection of x onto the set, as a new float array.
+    """Euclidean projection of x (a vector or a block of rows) onto the set,
+    as a new float array.
 
     Unconstrained sets return a copy of x.  A one-off call skips the
     centre test of _projector and shifts every ball by its centre.
@@ -192,10 +211,14 @@ def project(set_: FeasibleSet, x) -> np.ndarray:
 
 
 def contains(set_: FeasibleSet, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff the Euclidean distance from x to the set is at most tol."""
+    """True iff the Euclidean distance from x to the set is at most tol.
+
+    For a block of rows, a boolean array with one entry per row.
+    """
     x = _check_vector(set_, x)
     d = x - project(set_, x)
-    return float(np.sqrt(d @ d)) <= tol
+    inside = np.sqrt(row_dot(d, d))[..., 0] <= tol
+    return bool(inside) if x.ndim == 1 else inside
 
 
 def mirror_step(set_: FeasibleSet, x, g, gamma: float) -> np.ndarray:
@@ -204,13 +227,14 @@ def mirror_step(set_: FeasibleSet, x, g, gamma: float) -> np.ndarray:
     Ball kinds and the unconstrained space use the Euclidean prox, i.e.
     project(set, x - gamma * g).  The simplex uses the entropic update
     x_i * exp(-gamma * g_i), renormalized to sum one.  Checks its inputs,
-    then takes the step of make_mirror_stepper.
+    then takes the step of make_mirror_stepper.  On a block of rows, gamma
+    is a scalar or one step per row, shaped (T, 1).
     """
     x = _check_vector(set_, x)
     g = _check_vector(set_, g)
-    if not gamma > 0:
+    if not np.all(np.asarray(gamma) > 0):
         raise InputError(f"step size must be positive, got {gamma}")
-    if not contains(set_, x):
+    if not np.all(contains(set_, x)):
         raise PreconditionError("mirror_step requires x inside the set")
     if set_.kind == SIMPLEX and np.any((x == 0.0) & (g != 0.0)):
         raise DegenerateInputError(
@@ -219,12 +243,12 @@ def mirror_step(set_: FeasibleSet, x, g, gamma: float) -> np.ndarray:
     return make_mirror_stepper(set_)(x, g, gamma)
 
 
-def _entropic_update(x: np.ndarray, g: np.ndarray, gamma: float) -> np.ndarray:
-    # log-space with max-shift so exp never overflows
+def _entropic_update(x: np.ndarray, g: np.ndarray, gamma) -> np.ndarray:
+    # log-space with a row-wise max-shift so exp never overflows
     logw = np.where(x > 0.0, np.log(np.maximum(x, 1e-300)) - gamma * g, -np.inf)
-    logw -= logw.max()
+    logw -= logw.max(axis=-1, keepdims=True)
     w = np.exp(logw)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def set_diameter(set_: FeasibleSet, norm: NormTag = NormTag(2)) -> float:
@@ -247,9 +271,10 @@ def set_diameter(set_: FeasibleSet, norm: NormTag = NormTag(2)) -> float:
 def make_mirror_stepper(set_: FeasibleSet):
     """Unchecked mirror step for solver hot loops.
 
-    Returns f(x, g, gamma) -> next iterate.  Skips the membership recheck:
-    callers must start from a feasible point, and every output is feasible by
-    construction.  Public code should use mirror_step instead.
+    Returns f(x, g, gamma) -> next iterate, row by row on a (T, n) block
+    (gamma a scalar or shaped (T, 1)) as on a vector.  Skips the membership
+    recheck: callers must start from a feasible point, and every output is
+    feasible by construction.  Public code should use mirror_step instead.
     """
     if set_.kind == SIMPLEX:
         return _entropic_update

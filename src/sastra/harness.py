@@ -1,8 +1,14 @@
 """Experiment engine: trials, success probabilities, sample-complexity search.
 
-Trials run in order on one thread, seeded base+1..base+T, so a run depends
-only on its config and seed, and trial streams never overlap.  Sample
-complexity N(eps, beta) is located by doubling followed by geometric
+Trials run on one thread, seeded base+1..base+T, so a run depends only on
+its config and seed, and trial streams never overlap.  run_trials hands a
+solver all T streams of a probe at once.  The online solvers (sgd, restart)
+advance them in lockstep as one (T, n) block of iterates through
+sa_solvers.sgd_run; the offline ones solve trial after trial.  Either way
+trial t equals, bit for bit, a one-trial run at seed base+t, failures
+included.  A trial's wall_ms is its block's wall time divided by T.
+
+Sample complexity N(eps, beta) is located by doubling followed by geometric
 bisection, each probe on its own disjoint seed block.  Rate exponents come
 from least squares in log-log space.
 """
@@ -56,6 +62,8 @@ TRIAL_HEADER = ["trial", "seed", "solver", "problem", "N", "gap", "wall_ms"]
 CURVE_HEADER = ["epsilon", "beta", "N", "trials", "successes"]
 # multiplicative resolution of the sample-complexity bisection
 _RESOLUTION = 1.1
+# errors that fail a trial; any other exception is a bug and propagates
+_TRIAL_ERRORS = (SastraError, FloatingPointError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,8 @@ class ComplexityResult:
 
 
 # ---------------------------------------------------------------------------
-# solver adapters: (problem, sample budget, stream, epsilon) -> point
+# solver adapters: (problem, sample budget, T streams, epsilon) -> T outcomes,
+# each the trial's point or the error that failed it
 # ---------------------------------------------------------------------------
 
 
@@ -140,6 +149,22 @@ def _start_point(problem: ProblemInstance, mode: str) -> np.ndarray:
             return e1
         return problem.x_star + e1
     raise InputError(f"unknown start mode {mode!r}")
+
+
+def _row_outcomes(trace) -> list:
+    """A block run's outcomes: each row's averaged point, or its error."""
+    return [err or point for err, point in zip(trace.row_errors, trace.averaged_point)]
+
+
+def _each_stream(streams, solve) -> list:
+    """Outcomes of an offline solver that solves one trial's stream at a time."""
+    outcomes = []
+    for stream in streams:
+        try:
+            outcomes.append(solve(stream))
+        except _TRIAL_ERRORS as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -173,10 +198,10 @@ class SgdSolver:
             return Decreasing(R=radius, M=c.M_p)
         raise InputError(f"unknown schedule {self.schedule!r}")
 
-    def run(self, problem, n, stream, epsilon=None) -> np.ndarray:
+    def run(self, problem, n, streams, epsilon=None) -> list:
         x0 = _start_point(problem, self.start)
-        trace, _ = sgd_run(problem, self._make_schedule(problem, n), n, stream, x0)
-        return trace.averaged_point
+        trace, _ = sgd_run(problem, self._make_schedule(problem, n), n, list(streams), x0)
+        return _row_outcomes(trace)
 
 
 @dataclass(frozen=True)
@@ -192,15 +217,15 @@ class RestartSolver:
     def id(self) -> str:
         return "restart"
 
-    def run(self, problem, n, stream, epsilon=None) -> np.ndarray:
+    def run(self, problem, n, streams, epsilon=None) -> list:
         x0 = _start_point(problem, self.start)
         r1 = self.radius
         if r1 is None:
             r1 = max(float(np.linalg.norm(x0 - problem.x_star)), 1e-8)
         trace, _ = restarted_budget_run(
-            problem, n, self.beta, r1, stream, x0, multiplier=self.multiplier
+            problem, n, self.beta, r1, list(streams), x0, multiplier=self.multiplier
         )
-        return trace.averaged_point
+        return _row_outcomes(trace)
 
 
 @dataclass(frozen=True)
@@ -215,11 +240,14 @@ class ErmSolver:
     def id(self) -> str:
         return "erm"
 
-    def run(self, problem, n, stream, epsilon=None) -> np.ndarray:
-        emp, _ = saa.build_empirical(problem, n, stream)
-        res = saa.solve_erm(emp, self.delta, budget=self.budget,
-                            x0=_start_point(problem, self.start))
-        return res.point
+    def run(self, problem, n, streams, epsilon=None) -> list:
+        x0 = _start_point(problem, self.start)
+
+        def solve(stream):
+            emp, _ = saa.build_empirical(problem, n, stream)
+            return saa.solve_erm(emp, self.delta, budget=self.budget, x0=x0).point
+
+        return _each_stream(streams, solve)
 
 
 @dataclass(frozen=True)
@@ -233,12 +261,12 @@ class RegularizedErmSolver:
     def id(self) -> str:
         return "regularized_erm"
 
-    def run(self, problem, n, stream, epsilon=None) -> np.ndarray:
+    def run(self, problem, n, streams, epsilon=None) -> list:
         if epsilon is None:
             raise InputError("regularized pipeline needs a target epsilon")
         target = TargetAccuracy(epsilon=epsilon, beta=self.beta)
-        res, _ = saa.regularized_pipeline(problem, target, n, stream, budget=self.budget)
-        return res.point
+        return _each_stream(streams, lambda stream: saa.regularized_pipeline(
+            problem, target, n, stream, budget=self.budget)[0].point)
 
 
 @dataclass(frozen=True)
@@ -252,10 +280,12 @@ class VrErmSolver:
     def id(self) -> str:
         return "vr_erm"
 
-    def run(self, problem, n, stream, epsilon=None) -> np.ndarray:
-        emp, stream = saa.build_empirical(problem, n, stream)
-        res = saa.vr_solve(emp, self.delta, self.epoch_budget, stream)
-        return res.point
+    def run(self, problem, n, streams, epsilon=None) -> list:
+        def solve(stream):
+            emp, stream = saa.build_empirical(problem, n, stream)
+            return saa.vr_solve(emp, self.delta, self.epoch_budget, stream).point
+
+        return _each_stream(streams, solve)
 
 
 @dataclass(frozen=True)
@@ -268,7 +298,7 @@ class BatchedAccelSolver:
     def id(self) -> str:
         return "batched_accel"
 
-    def run(self, problem, n, stream, epsilon=None) -> np.ndarray:
+    def run(self, problem, n, streams, epsilon=None) -> list:
         c = problem.constants()
         x0 = _start_point(problem, self.start)
         radius = max(float(np.linalg.norm(x0 - problem.x_star)), 1e-8)
@@ -282,8 +312,8 @@ class BatchedAccelSolver:
             else:
                 lo = mid
         target = TargetAccuracy(epsilon=hi, beta=0.5)
-        trace, _ = batched_accelerated_run(problem, target, stream, x0, radius=radius)
-        return trace.averaged_point
+        return _each_stream(streams, lambda stream: batched_accelerated_run(
+            problem, target, stream, x0, radius=radius)[0].averaged_point)
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +333,43 @@ def run_trials(
     base_seed: int,
     epsilon: float | None = None,
 ) -> list[TrialResult]:
-    """T independent trials with seeds base+1..base+T, run in trial order.
+    """T independent trials with seeds base+1..base+T, run as one block.
 
-    A trial that raises a sastra error, a floating-point error or a linear
-    algebra error is recorded as failed with its diagnostic and the run
-    continues; any other exception is a bug and propagates.  Trials share no
-    state, so trial t gives the same result as a one-trial run at seed
-    base+t: results do not depend on how trials are batched.
+    The solver gets the T streams at once, solver.run(problem, n, streams,
+    epsilon), and returns T outcomes in stream order: a point of shape (n,),
+    or the exception that failed that trial.  A trial fails on a sastra
+    error, a floating-point error or a linear algebra error, raised for it
+    alone or by the whole run (which fails every trial), and is recorded
+    with its diagnostic; any other exception is a bug and propagates.
+    Trials share no state, so trial t gives the same result as a one-trial
+    run at seed base+t: results do not depend on how trials are batched.
+    Each trial's wall_ms is the block's wall time (solving and grading)
+    divided by T.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
     label = _problem_label(problem)
+    seeds = [base_seed + t for t in range(1, trials + 1)]
+    t0 = time.perf_counter()
+    try:
+        outcomes = solver.run(problem, n, [problem.stream(s) for s in seeds], epsilon)
+    except _TRIAL_ERRORS as exc:
+        outcomes = [exc] * trials
+    gaps = []
+    for outcome in outcomes:
+        if not isinstance(outcome, Exception):
+            try:
+                outcome = problem.population_gap(outcome)
+            except _TRIAL_ERRORS as exc:
+                outcome = exc
+        gaps.append(outcome)
+    wall_ms = (time.perf_counter() - t0) * 1e3 / trials
     results = []
-    for t in range(1, trials + 1):
-        seed = base_seed + t
-        t0 = time.perf_counter()
-        try:
-            point = solver.run(problem, n, problem.stream(seed), epsilon)
-            gap = problem.population_gap(point)
+    for t, (seed, gap) in enumerate(zip(seeds, gaps, strict=True), start=1):
+        if isinstance(gap, Exception):
+            failed, diag, gap = True, f"{type(gap).__name__}: {gap}", math.nan
+        else:
             failed, diag = False, ""
-        except (SastraError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            gap, failed, diag = math.nan, True, f"{type(exc).__name__}: {exc}"
-        wall_ms = (time.perf_counter() - t0) * 1e3
         results.append(
             TrialResult(t, seed, solver.id, label, n, gap, wall_ms, failed, diag)
         )

@@ -2,6 +2,9 @@
 
 Every family exposes per-sample value/subgradient oracles, a closed-form (or,
 for soft_svm, exact-quadrature) population objective, and declared constants.
+The per-sample subgradient works row by row: row t of a (T, n) block of
+points meets row t of a (T, width) block of samples, which is how the online
+solvers advance T trials at once.
 Sampling is counter-based: sample number ``i`` of a stream occupies a fixed
 window of the Philox-4x64 sequence keyed by the stream seed, so a sample is a
 pure function of (seed, i) regardless of how many samples were drawn before
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.special import beta as beta_fn, betainc, ndtri
 
 from .errors import InputError, PreconditionError
-from .geometry import FeasibleSet, contains
+from .geometry import FeasibleSet, contains, row_dot
 
 __all__ = [
     "ProblemConstants",
@@ -212,7 +215,12 @@ class ProblemInstance:
         return float(self.batch_losses(x, xi[None, :])[0])
 
     def _subgrad(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return self.batch_subgrad_mean(x, xi[None, :])
+        """Subgradient of f(., xi_t) at x_t, row by row.
+
+        x is a point (n,) and xi a sample (width,), or x a block (T, n) and
+        xi a block (T, width); the result has the shape of x.
+        """
+        raise NotImplementedError
 
     def _gap(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -391,8 +399,8 @@ class RidgeRegression(_LinearModelProblem):
         return 2.0 * (r @ rows[:, :-1]) / rows.shape[0]
 
     def _subgrad(self, x, xi):
-        a = xi[:-1]
-        return 2.0 * (a @ x - xi[-1]) * a
+        a = xi[..., :-1]
+        return 2.0 * (row_dot(a, x) - xi[..., -1:]) * a
 
     def _gap(self, x):
         d = x - self.coefficients
@@ -488,12 +496,10 @@ class NormPower(ProblemInstance):
         return self._norm_grad(x) - self.s * rows.mean(axis=0)
 
     def _norm_grad(self, x):
-        s = self.s
-        nx = float(np.sqrt(x @ x))
-        if nx == 0.0:
-            # zero subgradient selection of ||.||^s at the origin
-            return np.zeros_like(x)
-        return (s * nx ** (s - 2.0)) * x
+        # row-wise; the zero subgradient selection of ||.||^s at the origin
+        nx = np.sqrt(row_dot(x, x))
+        coef = np.power(nx, self.s - 2.0, out=np.zeros_like(nx), where=nx > 0.0)
+        return (self.s * coef) * x
 
     def _subgrad(self, x, xi):
         return self._norm_grad(x) - self.s * xi
@@ -701,10 +707,8 @@ class SoftSVM(ProblemInstance):
         return -ya[active].sum(axis=0) / rows.shape[0]
 
     def _subgrad(self, x, xi):
-        a, y = xi[:-1], xi[-1]
-        if y * (a @ x) < 1.0:
-            return -y * a
-        return np.zeros_like(x)
+        a, y = xi[..., :-1], xi[..., -1:]
+        return np.where(y * row_dot(a, x) < 1.0, -y * a, 0.0)
 
     def population_value(self, x) -> float:
         """The population objective F(x) = E (1 - y <x, a>)_+."""

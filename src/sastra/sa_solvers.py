@@ -4,6 +4,12 @@ All solvers consume samples through a SampleStream, never a global RNG, so a
 run is a pure function of (problem, schedule, seed, x0).  Averages are kept
 as running sums over two windows: the full iterate sequence x^1..x^N and its
 tail half, which avoids storing trajectories on long runs.
+
+sgd_run and the restart runs built on it advance T trials in lockstep: given
+a list of T streams they step a (T, n) block of iterates, one row per
+stream, with row-wise oracles and projections.  Sample i of a stream is a
+pure function of (seed, i), so row t of a block run equals, bit for bit, a
+run on stream t alone; a single stream is the T = 1 case of the same loop.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .errors import (
     PreconditionError,
     SastraError,
 )
-from .geometry import contains, make_mirror_stepper, project
+from .geometry import contains, make_mirror_stepper, project, row_dot
 from .problems import ProblemInstance, SampleStream
 
 __all__ = [
@@ -41,7 +47,9 @@ __all__ = [
     "batched_accelerated_run",
 ]
 
-_CHUNK = 1 << 16
+# Samples drawn at once across the rows of a block (T rows x chunk steps);
+# also the step interval at which iterates are tested for finiteness.
+_BLOCK_ROWS = 1 << 14
 _MAX_GAP_CHECKPOINTS = 512
 # Smallest restart stage, and the smallest leftover a partial stage runs on.
 _N_MIN = 8
@@ -123,8 +131,10 @@ class AdaGrad:
     """gamma_k = R / sqrt(sum_{j<=k} ||g^j||_2^2), accumulated in place.
 
     A schedule instance carries its accumulator; solvers take a fresh copy so
-    identical runs stay identical.  With an all-zero history the class
-    constant gamma_max is returned instead of dividing by zero.
+    identical runs stay identical.  On a (T, n) block of gradients it keeps
+    one accumulator per row and returns steps shaped (T, 1).  With an
+    all-zero history the class constant gamma_max is returned instead of
+    dividing by zero.
     """
 
     R: float
@@ -140,22 +150,25 @@ class AdaGrad:
     def fresh(self):
         return replace(self, accumulated=0.0)
 
-    def step(self, k: int, g) -> float:
+    def step(self, k: int, g):
         if g is None:
             raise InputError("AdaGrad needs the current gradient")
         g = np.asarray(g, dtype=float)
-        self.accumulated += float(g @ g)
-        if self.accumulated == 0.0:
-            return self.gamma_max
-        return self.R / math.sqrt(self.accumulated)
+        self.accumulated = self.accumulated + row_dot(g, g)
+        acc = self.accumulated
+        return np.divide(self.R, np.sqrt(acc), out=np.full_like(acc, self.gamma_max),
+                         where=acc != 0.0)
 
 
-def step_size(schedule, k: int, last_gradient=None) -> float:
-    """Emit the step size for iteration k, advancing schedule state (AdaGrad)."""
+def step_size(schedule, k: int, last_gradient=None):
+    """Emit the step size for iteration k, advancing schedule state (AdaGrad).
+
+    A float, or under AdaGrad one step per gradient row, shaped (..., 1).
+    """
     if k < 1:
         raise InputError("iteration index k must be >= 1")
     gamma = schedule.step(k, last_gradient)
-    if not gamma > 0:
+    if not np.all(gamma > 0):
         raise InputError(f"schedule produced nonpositive step {gamma}")
     return gamma
 
@@ -188,8 +201,12 @@ class RunTrace:
     average_full    mean of x^1..x^N
     average_tail    mean of the last ceil(N/2) pre-update iterates
     averaged_point  the window the solver's policy selected
-    oracle_calls    stochastic-gradient evaluations consumed
+    oracle_calls    stochastic-gradient evaluations consumed (per trial)
     gap_checkpoints optional ((k, gap), ...) at log-spaced iterations
+    row_errors      per row of a block run: None, or the error that failed it
+
+    A block run of T trials holds (T, n) points, T checkpoint tuples and T
+    row errors; a run on a single stream holds one (n,) point each.
     """
 
     iterations: int
@@ -199,6 +216,7 @@ class RunTrace:
     averaged_point: np.ndarray
     oracle_calls: int
     gap_checkpoints: tuple = None
+    row_errors: tuple = ()
 
 
 def _gap_checkpoint_ks(n_steps: int) -> np.ndarray:
@@ -217,24 +235,45 @@ def sgd_run(
     problem: ProblemInstance,
     schedule,
     n_steps: int,
-    stream: SampleStream,
+    streams,
     x0,
     record_gaps: bool = False,
-) -> tuple[RunTrace, SampleStream]:
+):
     """Run x^{k+1} = mirror_step(Q, x^k, grad f(x^k, xi^k), gamma_k), k = 1..N.
 
+    ``streams`` is one SampleStream, or a list of T streams advanced in
+    lockstep as a (T, n) block of iterates, row t drawing from stream t.
+    x0 is one start point (n,) for every row, or a (T, n) block.  Each step
+    is one Python iteration for all rows: the T samples of step k are drawn
+    side by side (at most _BLOCK_ROWS samples per draw), and the subgradient,
+    the schedule and the mirror step act row by row, so row t equals a run
+    on stream t alone, bit for bit.
+
     Averages the pre-update iterates x^1..x^N.  Consumes exactly n_steps
-    samples from the stream and returns the advanced stream alongside the
-    trace.  The averaged point is the tail-half average under the strongly
-    convex 1/(mu k) policy and the full average otherwise; both windows are
-    on the trace.
+    samples from each stream and returns the advanced stream(s) alongside
+    the trace.  The averaged point is the tail-half average under the
+    strongly convex 1/(mu k) policy and the full average otherwise; both
+    windows are on the trace.
+
+    A row whose start lies outside the set fails with PreconditionError; a
+    row found non-finite at a finiteness test (every _BLOCK_ROWS steps and at
+    the end) fails with RunAborted.  A block run records these in
+    ``trace.row_errors`` and carries the other rows on; a single-stream run
+    raises them.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
+    single = not isinstance(streams, (list, tuple))
+    streams = [streams] if single else list(streams)
+    rows = len(streams)
+    if rows < 1:
+        raise InputError("sgd_run needs at least one stream")
     set_ = problem.feasible_set
-    x = problem._coerce_point(x0)
-    if not contains(set_, x):
-        raise PreconditionError("x0 must lie in the feasible set")
+    x = _start_block(problem, x0, rows)
+    errors = [None if ok else PreconditionError("x0 must lie in the feasible set")
+              for ok in contains(set_, x)]
+    if single and errors[0] is not None:
+        raise errors[0]
     tail_window = getattr(schedule, "kind", "") == "inverse_strong"
 
     schedule = schedule.fresh()
@@ -246,46 +285,71 @@ def sgd_run(
     tail_from = n_steps - (n_steps + 1) // 2 + 1  # first k in the tail window
 
     checkpoint_ks = _gap_checkpoint_ks(n_steps) if record_gaps else None
-    checkpoints = [] if record_gaps else None
+    checkpoints = [[] for _ in range(rows)] if record_gaps else None
     next_cp = 0
 
     constant_gamma = None
     if getattr(schedule, "kind", "") == "constant_horizon":
         constant_gamma = schedule.step(1, None)
 
+    # a power of two, so the finiteness tests fall on the same steps for any T
+    chunk = 1 << max(0, (_BLOCK_ROWS // rows).bit_length() - 1)
     k = 0
-    remaining = n_steps
-    while remaining > 0:
-        take = min(remaining, _CHUNK)
-        rows, stream = stream.draw_block(take)
-        for i in range(take):
+    while k < n_steps:
+        take = min(n_steps - k, chunk)
+        drawn = np.empty((take, rows, problem.sample_width))
+        for t, stream in enumerate(streams):
+            drawn[:, t], streams[t] = stream.draw_block(take)
+        for xi in drawn:  # xi: the (T, width) samples of step k
             k += 1
             sum_full += x
             if k >= tail_from:
                 sum_tail += x
             if checkpoints is not None and next_cp < len(checkpoint_ks) and k == checkpoint_ks[next_cp]:
-                checkpoints.append((k, problem.population_gap(x)))
+                for row, point in zip(checkpoints, x):
+                    row.append((k, problem.population_gap(point)))
                 next_cp += 1
-            g = subgrad(x, rows[i])
+            g = subgrad(x, xi)
             gamma = constant_gamma if constant_gamma is not None else schedule.step(k, g)
             x = stepper(x, g, gamma)
-        if not np.all(np.isfinite(x)):
-            raise RunAborted(f"non-finite iterate at step {k}")
-        remaining -= take
+        if k % _BLOCK_ROWS == 0 or k == n_steps:
+            for t in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+                if errors[t] is None:
+                    errors[t] = RunAborted(f"non-finite iterate at step {k}")
+            if single and errors[0] is not None:
+                raise errors[0]
 
     avg_full = sum_full / n_steps
     avg_tail = sum_tail / ((n_steps + 1) // 2)
-    averaged = avg_tail if tail_window else avg_full
+    if single:
+        x, avg_full, avg_tail = x[0], avg_full[0], avg_tail[0]
+        streams = streams[0]
+        checkpoints = checkpoints[0] if record_gaps else None
+    elif record_gaps:
+        checkpoints = [tuple(row) for row in checkpoints]
     trace = RunTrace(
         iterations=n_steps,
         final_point=x,
         average_full=avg_full,
         average_tail=avg_tail,
-        averaged_point=averaged,
+        averaged_point=avg_tail if tail_window else avg_full,
         oracle_calls=n_steps,
         gap_checkpoints=tuple(checkpoints) if checkpoints is not None else None,
+        row_errors=tuple(errors),
     )
-    return trace, stream
+    return trace, streams
+
+
+def _start_block(problem: ProblemInstance, x0, rows: int) -> np.ndarray:
+    """x0 as a new C-ordered (rows, n) block: one start point repeated, or a
+    block as given.  C order keeps each row contiguous, so row-wise dot
+    products take the same path in a block as on a single vector."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim < 2:
+        x0 = problem._coerce_point(x0)
+    elif x0.shape != (rows, problem.dimension):
+        raise InputError(f"start block has shape {x0.shape}, expected ({rows}, {problem.dimension})")
+    return np.array(np.broadcast_to(x0, (rows, problem.dimension)), order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +402,10 @@ def restarted_run(
     problem: ProblemInstance,
     target: TargetAccuracy,
     R1: float,
-    stream: SampleStream,
+    stream,
     x0,
     multiplier: float = 1.0,
-) -> tuple[RunTrace, SampleStream]:
+):
     """Restarted mirror descent: halve the growth radius per stage.
 
     Runs kappa stages with kappa chosen so mu_{p,s} R_1^s 2^{-(kappa+1)} <=
@@ -349,7 +413,8 @@ def restarted_run(
     previous stage's averaged point.  Stages average over the tail half,
     which drops the transient an sgd stage spends traversing the previous
     radius.  When the target is loose enough that no halving is required, a
-    single stage is run.
+    single stage is run.  ``stream`` is one stream or a list of T, as in
+    sgd_run.
     """
     plan = restart_stage_plan(problem, target.epsilon, target.beta, R1, multiplier)
     return _run_stages(problem, [(n, n) for n in plan], R1, stream, x0)
@@ -360,17 +425,18 @@ def restarted_budget_run(
     total_budget: int,
     beta: float,
     R1: float,
-    stream: SampleStream,
+    stream,
     x0,
     multiplier: float = 1.0,
-) -> tuple[RunTrace, SampleStream]:
+):
     """Budgeted variant for sample-complexity probing.
 
     Runs as many complete stages of the schedule as fit in the sample budget,
     then spends the remainder on a partial run of the next stage.  A partial
     stage keeps its planned horizon in the stepsize (the schedule's gamma,
     merely truncated), so small budgets probe the planned stage rather than a
-    differently-tuned shorter one.
+    differently-tuned shorter one.  ``stream`` is one stream or a list of
+    T, as in sgd_run; the plan is computed once for all rows.
     """
     if total_budget < 1:
         raise InputError("total_budget must be >= 1")
@@ -396,15 +462,21 @@ def restarted_budget_run(
 
 
 def _run_stages(problem, stage_runs, R1, stream, x0):
+    """The stages in order, each an sgd_run from the last one's tail average.
+
+    On a block, a row keeps the first error any stage records for it.
+    """
     c = problem.constants()
     s = c.s
-    x = problem._coerce_point(x0)
+    x = x0
     radius = R1
     total = 0
-    trace = None
+    trace = errors = None
     for steps, horizon in stage_runs:
         schedule = ConstantHorizon(R=radius, M=c.M_p, N=horizon)
         trace, stream = sgd_run(problem, schedule, steps, stream, x)
+        errors = trace.row_errors if errors is None else tuple(
+            first or now for first, now in zip(errors, trace.row_errors))
         x = trace.average_tail
         total += steps
         radius *= 2.0 ** (-1.0 / s)
@@ -416,6 +488,7 @@ def _run_stages(problem, stage_runs, R1, stream, x0):
         averaged_point=trace.average_tail,
         oracle_calls=total,
         gap_checkpoints=None,
+        row_errors=errors,
     )
     return final, stream
 

@@ -121,6 +121,24 @@ mode = dance
             assert any(m.startswith(f"[{section}]: {key} ") for m in err.value.errors), key
         assert len(err.value.errors) == len(bad)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("problem", "sigma", "nan"),
+        ("problem", "sigma", "inf"),
+        ("experiment", "epsilons", "nan"),
+        ("solver", "step_multiplier", "inf"),
+    ])
+    def test_non_finite_values_rejected(self, section, key, value):
+        # float() parses nan and inf; a nan epsilon made the search run to max_n
+        text = CURVE.format(out="c.csv")
+        given = {"sigma": "sigma = 1.0", "epsilons": "epsilons = 0.2, 0.05"}
+        if key in given:
+            text = text.replace(given[key], f"{key} = {value}")
+        else:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert f"[{section}] {key}: {value!r} is not finite" in err.value.errors
+
     def test_roundtrip(self):
         cfg = parse_config(CURVE.format(out="c.csv"))
         again = parse_config(format_config(cfg))

@@ -8,6 +8,7 @@ from sastra.errors import DegenerateInputError, InputError
 from sastra.geometry import FeasibleSet
 from sastra.harness import (
     CurvePoint,
+    RestartSolver,
     SampleComplexityCurve,
     SgdSolver,
     TRIAL_HEADER,
@@ -20,7 +21,8 @@ from sastra.harness import (
     success_probability,
     write_report,
 )
-from sastra.problems import GaussianMean, SoftSVM
+from sastra.problems import GaussianMean, NormPower, RidgeRegression, SampleStream, SoftSVM
+from sastra.sa_solvers import RunAborted
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,10 @@ class PowerLawSolver:
     def id(self) -> str:
         return "synthetic"
 
-    def run(self, problem, n, stream, epsilon=None):
+    def run(self, problem, n, streams, epsilon=None):
         # place the point at exactly the distance giving the target gap
         gap = self.C / math.sqrt(n)
-        return problem.x_star + math.sqrt(gap)
+        return [problem.x_star + math.sqrt(gap) for _ in streams]
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,8 @@ class NeverSolver:
     def id(self) -> str:
         return "never"
 
-    def run(self, problem, n, stream, epsilon=None):
-        return problem.x_star + 100.0
+    def run(self, problem, n, streams, epsilon=None):
+        return [problem.x_star + 100.0 for _ in streams]
 
 
 def gaussian():
@@ -93,7 +95,7 @@ class TestRunTrials:
             def id(self):
                 return "boom"
 
-            def run(self, problem, n, stream, epsilon=None):
+            def run(self, problem, n, streams, epsilon=None):
                 raise DegenerateInputError("synthetic failure")
 
         res = run_trials(Exploding(), p, 10, 3, 0)
@@ -108,7 +110,7 @@ class TestRunTrials:
             def id(self):
                 return "buggy"
 
-            def run(self, problem, n, stream, epsilon=None):
+            def run(self, problem, n, streams, epsilon=None):
                 raise TypeError("synthetic bug")
 
         with pytest.raises(TypeError, match="synthetic bug"):
@@ -133,6 +135,85 @@ class TestRunTrials:
         p = gaussian()
         res = run_trials(SgdSolver(schedule="inverse_strong"), p, 10, 5, 3)
         assert_disjoint_streams(res)
+
+
+_SETS = {
+    "free": FeasibleSet.unconstrained(3),
+    "l2": FeasibleSet.l2_ball(3, 1.0),
+    "l2_off_centre": FeasibleSet.l2_ball(3, 0.8, center=[0.3, -0.2, 0.4]),
+    "l1": FeasibleSet.l1_ball(3, 1.5),
+    "simplex": FeasibleSet.simplex(3),
+}
+
+
+def _batching_cases():
+    # every schedule on every set it applies to (constant and decreasing
+    # steps need a finite M_p, which free space does not give), then the
+    # families whose subgradients take row-wise dot products, and restarts
+    for schedule in ("constant", "decreasing", "inverse_strong", "adagrad"):
+        for name, set_ in _SETS.items():
+            if name == "free" and schedule in ("constant", "decreasing"):
+                continue
+            problem = GaussianMean(mean=[0.2, 0.3, 0.5], sigma=1.0, feasible_set=set_)
+            yield pytest.param(SgdSolver(schedule=schedule), problem, 300,
+                               id=f"sgd[{schedule}]-gaussian_mean-{name}")
+    yield pytest.param(SgdSolver(), SoftSVM(concept=2.0 * np.ones(10) / math.sqrt(10.0)), 300,
+                       id="sgd[constant]-soft_svm-l2")
+    yield pytest.param(SgdSolver(schedule="decreasing"),
+                       RidgeRegression(coefficients=[0.3, -0.2, 0.1], sigma=1.0,
+                                       feasible_set=_SETS["l1"]), 300,
+                       id="sgd[decreasing]-ridge-l1")
+    yield pytest.param(RestartSolver(), NormPower(s=2.0, sigma=1.0, dim=5), 2000,
+                       id="restart-norm_power-l2")
+
+
+class _NanSamples:
+    """Sampler whose every sample is NaN, shaped like the problem's rows."""
+
+    def __init__(self, problem):
+        self.rng_words = problem.rng_words
+        self.sample_width = problem.sample_width
+
+    def rows_from_uniforms(self, u):
+        return np.full((u.shape[0], self.sample_width), np.nan)
+
+
+class TestLockstepTrials:
+    @pytest.mark.parametrize("solver, problem, n", list(_batching_cases()))
+    def test_block_equals_single_trials_bit_for_bit(self, solver, problem, n):
+        block = run_trials(solver, problem, n, 8, 500)
+        singles = [run_trials(solver, problem, n, 1, 500 + t)[0] for t in range(8)]
+        assert not any(r.failed for r in block)
+        assert [(r.seed, r.gap) for r in block] == [(r.seed, r.gap) for r in singles]
+        points = solver.run(problem, n, [problem.stream(500 + t) for t in range(1, 9)])
+        for t, point in enumerate(points, start=1):
+            (alone,) = solver.run(problem, n, [problem.stream(500 + t)])
+            assert point.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("solver, problem, n", [
+        (SgdSolver(schedule="inverse_strong"),
+         GaussianMean(mean=[0.2, 0.3, 0.5], sigma=1.0, feasible_set=_SETS["l2"]), 300),
+        (RestartSolver(), NormPower(s=2.0, sigma=1.0, dim=5), 2000),
+    ], ids=["sgd", "restart"])
+    def test_non_finite_row_fails_alone(self, solver, problem, n, monkeypatch):
+        streams = [problem.stream(700 + t) for t in range(1, 9)]
+        streams[3] = SampleStream(_NanSamples(problem), 704)
+        outcomes = solver.run(problem, n, streams)
+        (alone,) = solver.run(problem, n, streams[3:4])
+        others = solver.run(problem, n, streams[:3] + streams[4:])
+        assert isinstance(alone, RunAborted)
+        assert type(outcomes[3]) is RunAborted and str(outcomes[3]) == str(alone)
+        for got, want in zip(outcomes[:3] + outcomes[4:], others):
+            assert got.tobytes() == want.tobytes()
+
+        # run_trials records the one failure with the T = 1 diagnostic
+        stream = type(problem).stream
+        monkeypatch.setattr(type(problem), "stream", lambda self, seed: (
+            SampleStream(_NanSamples(self), seed) if seed == 704 else stream(self, seed)))
+        block = run_trials(solver, problem, n, 8, 700)
+        (single,) = run_trials(solver, problem, n, 1, 703)
+        assert [r.failed for r in block] == [t == 4 for t in range(1, 9)]
+        assert block[3].diagnostic == single.diagnostic == f"RunAborted: {alone}"
 
 
 class TestSuccessProbability:
