@@ -386,7 +386,7 @@ def dispatch(config: ExperimentConfig, strict: bool = False, out: str | None = N
 def builtin_verify():
     """Fast self-checks of the core algebraic contracts; returns (name, ok, detail)."""
     from .geometry import mirror_step, project
-    from .problems import FiniteSumQuadratic, GaussianMean, NormPower
+    from .problems import FiniteSumQuadratic, GaussianMean, NormPower, RidgeRegression
     from .sa_solvers import InverseStrong, sgd_run
 
     checks = []
@@ -460,12 +460,31 @@ def builtin_verify():
             ]:
                 raise AssertionError(f"{solver.id} trial results depend on batching")
 
+    def exact_vs_iterative():
+        # free least squares, an active l1 projection, an interior norm-power point
+        cases = (
+            (RidgeRegression(coefficients=[0.5, -0.4, 0.3], sigma=1.0,
+                             feasible_set=FeasibleSet.unconstrained(3)), 200),
+            (GaussianMean(mean=[0.05, 0.05, 0.05], sigma=1.0,
+                          feasible_set=FeasibleSet.l1_ball(3, 0.3)), 20),
+            (NormPower(s=3.0, sigma=3.0, dim=3, feasible_set=FeasibleSet.l2_ball(3, 2.0)), 4),
+        )
+        for p, n in cases:
+            emp, _ = saa.build_empirical(p, n, p.stream(6))
+            exact = saa.exact_erm(emp)
+            it = saa.solve_erm(emp, 1e-14, budget=50_000)
+            if exact.value > it.value + 1e-12:
+                raise AssertionError(f"{p.family}: exact value above the iterative one")
+            if np.linalg.norm(exact.point - it.point) > 1e-6:
+                raise AssertionError(f"{p.family}: exact and iterative points differ")
+
     check("geometry projections (nonexpansive, idempotent)", geometry_suite)
     check("simplex entropic step stays normalized", simplex_norm)
     check("gaussian-mean recursion equals sample mean", mean_identity)
     check("vr gradient is unbiased over term index", vr_identity)
     check("l1 prox closed form", prox_example)
     check("trial determinism across batching", determinism)
+    check("exact ERM matches iterative ERM", exact_vs_iterative)
     return checks
 
 

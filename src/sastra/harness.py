@@ -230,7 +230,8 @@ class RestartSolver:
 
 @dataclass(frozen=True)
 class ErmSolver:
-    """Freeze n samples, minimize the empirical objective."""
+    """Freeze n samples, minimize the empirical objective: exactly where it
+    has a closed form, else with the certified iterative solver."""
 
     delta: float = 1e-10
     budget: int = 100_000
@@ -245,7 +246,9 @@ class ErmSolver:
 
         def solve(stream):
             emp, _ = saa.build_empirical(problem, n, stream)
-            return saa.solve_erm(emp, self.delta, budget=self.budget, x0=x0).point
+            result = saa.exact_erm(emp, x0) or \
+                saa.solve_erm(emp, self.delta, budget=self.budget, x0=x0)
+            return result.point
 
         return _each_stream(streams, solve)
 

@@ -226,12 +226,14 @@ class ProblemInstance:
         raise NotImplementedError
 
     def _coerce_point(self, x) -> np.ndarray:
+        # contiguous, so a strided row of a point block grades bit-identically
+        # to its copy (BLAS kernels round strided input differently)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dimension,):
             raise InputError(
                 f"point has shape {x.shape}, expected ({self.dimension},)"
             )
-        return x
+        return np.ascontiguousarray(x)
 
     # --- common accessors ------------------------------------------------
 

@@ -2,10 +2,15 @@
 
 An EmpiricalObjective freezes N samples of a problem plus an optional
 composite regularizer; its value and gradient are exact arithmetic means over
-all terms.  Solvers certify delta-accuracy either through a strong-convexity
-bound on the proximal gradient mapping, by comparison against a closed-form
-minimizer where one exists (the norm-power family), or, in the merely convex
-case, by plateau detection, with the certificate kind recorded on the result.
+all terms.  Where the empirical problem has a closed-form minimizer,
+exact_erm returns it with the certificate "exact": gaussian_mean on every set,
+finite_sum_quadratic on free space (and on every set when its scales are
+equal), ridge/lasso without an l1 term on free space or an l2 ball, and
+norm_power on an origin-centred l2 ball.  The offline solvers call it first
+and fall back to solve_erm, which certifies delta-accuracy either through a
+strong-convexity bound on the proximal gradient mapping, by comparison
+against the norm-power closed form, or, in the merely convex case, by plateau
+detection, with the certificate kind recorded on the result.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "EmpiricalObjective",
     "build_empirical",
     "ErmResult",
+    "exact_erm",
     "solve_erm",
     "strong_delta",
     "tikhonov_parameters",
@@ -232,7 +238,9 @@ class ErmResult:
     value: float
     iterations: int
     certified: bool
-    certificate: str  # strong_convexity | oracle | plateau | vacuous | budget_exhausted
+    # exact (closed form, 0 iterations) | strong_convexity | oracle | plateau
+    # | vacuous | budget_exhausted; only budget_exhausted is uncertified
+    certificate: str
 
 
 def _prox_mapping_certificate(e: EmpiricalObjective, x, gamma: float, mu: float):
@@ -338,6 +346,129 @@ def solve_erm(
     return ErmResult(x_best, f_best, budget, False, "budget_exhausted")
 
 
+def exact_erm(e: EmpiricalObjective, x0=None) -> ErmResult | None:
+    """The exact empirical minimizer where a closed form exists, else None.
+
+    Handles no composite and HalfSqL2; an L1 composite, soft_svm and the
+    quadratics on l1 balls or simplices have no closed form and return None.
+    x0 only matters where the minimizer is not unique (ridge on free space
+    with N < n): the result is then the minimizer nearest x0, the limit of
+    the gradient iteration started there.
+    """
+    problem, composite = e.problem, e.composite
+    if composite is not None and not isinstance(composite, HalfSqL2):
+        return None
+    set_ = problem.feasible_set
+    if problem.family == "gaussian_mean":
+        point = _separable_quadratic_minimizer(e, np.full(problem.dimension, 2.0))
+    elif problem.family == "finite_sum_quadratic":
+        point = _separable_quadratic_minimizer(e, problem.scales)
+    elif problem.family in ("ridge", "lasso"):
+        point = _least_squares_minimizer(e, x0)
+    elif problem.family == "norm_power" and composite is None and \
+            set_.kind == "l2_ball" and set_.centered_at_origin():
+        point = norm_power_erm_closed_form(e)
+    else:
+        point = None
+    if point is None:
+        return None
+    return ErmResult(point, e.value(point), 0, True, "exact")
+
+
+def _separable_quadratic_minimizer(e: EmpiricalObjective, scales: np.ndarray):
+    """argmin of sum_i (d_i / 2) (x_i - xi_bar_i)^2 (+ HalfSqL2) over the set.
+
+    The HalfSqL2 term moves the free minimizer coordinatewise to
+    (d xi_bar + mu c) / (d + mu); with equal scales the objective is a
+    multiple of the squared distance to that point, so projecting it is exact
+    on every set.  Unequal scales on a bounded set have no closed form.
+    """
+    set_ = e.problem.feasible_set
+    point = e.samples.mean(axis=0)
+    if e.composite is not None:
+        mu, centre = e.composite.mu, e.composite.center
+        pull = 0.0 if centre is None else mu * centre
+        point = (scales * point + pull) / (scales + mu)
+    if not set_.is_bounded:
+        return point
+    if np.any(scales != scales[0]):
+        return None
+    return project(set_, point)
+
+
+def _least_squares_minimizer(e: EmpiricalObjective, x0):
+    """argmin of (1/N) ||A x - y||^2 (+ HalfSqL2) on free space or an l2 ball.
+
+    In z = x - o (o the ball centre, or x0 on free space) the objective is
+    z^T H z - 2 b^T z + (mu/2) ||z||^2 + const with H = A^T A / N.  Without
+    the HalfSqL2 term the free minimizer is the minimum-norm least-squares
+    z; with it, (H + mu/2) z = b.  A free minimizer outside the ball puts the
+    solution on the sphere, at the root nu > 0 of ||(H + mu/2 + nu)^-1 b|| = r
+    (the trust-region secular equation; H is positive semidefinite, so there
+    is no hard case).
+    """
+    problem = e.problem
+    set_ = problem.feasible_set
+    if set_.kind not in ("unconstrained", "l2_ball"):
+        return None
+    a, y = e.samples[:, :-1], e.samples[:, -1]
+    if set_.is_bounded:
+        anchor = set_.center
+    else:
+        anchor = problem._coerce_point(x0) if x0 is not None else problem.default_x0()
+    resid = y - a @ anchor
+    half_mu = 0.0 if e.composite is None else 0.5 * e.composite.mu
+    if half_mu == 0.0:
+        z = np.linalg.lstsq(a, resid, rcond=None)[0]
+        if not set_.is_bounded or np.linalg.norm(z) <= set_.radius:
+            return anchor + z
+    n_terms = a.shape[0]
+    lam, q = np.linalg.eigh(a.T @ a / n_terms)
+    lam = np.maximum(lam, 0.0) + half_mu
+    b = a.T @ resid / n_terms
+    if half_mu > 0.0:
+        centre = e.composite.center
+        b = b + half_mu * ((0.0 if centre is None else centre) - anchor)
+    beta = b @ q
+    if half_mu > 0.0:
+        z = q @ (beta / lam)
+        if not set_.is_bounded or np.linalg.norm(z) <= set_.radius:
+            return anchor + z
+    z = q @ _secular_point(lam, beta, set_.radius)
+    return anchor + z * (set_.radius / np.linalg.norm(z))
+
+
+def _secular_point(lam: np.ndarray, beta: np.ndarray, r: float) -> np.ndarray:
+    """w = beta / (lam + nu) at the nu >= 0 where ||w|| = r, for ascending lam >= 0.
+
+    Newton on 1/||w(nu)|| - 1/r, which is concave and increasing in nu, so
+    from the lower bound max(0, ||beta||/r - lam_max) the iterates rise
+    monotonically to the root (More & Sorensen, SISC 1983); a step leaving
+    the bracket [lo, ||beta||/r] bisects instead.  At nu = 0, eigenvalues at
+    rounding level count as zero: the minimum-norm convention.
+    """
+    tiny = lam.size * np.finfo(float).eps * lam[-1]
+    lo, hi = 0.0, float(np.linalg.norm(beta)) / r
+    nu = max(lo, hi - lam[-1])
+    for _ in range(100):
+        den = lam + nu
+        w = np.divide(beta, den, out=np.zeros_like(beta), where=den > tiny)
+        nrm = float(np.linalg.norm(w))
+        if nrm > r:
+            lo = nu
+        else:
+            hi = nu
+        if abs(nrm - r) <= 4.0 * np.finfo(float).eps * r or hi <= lo:
+            break
+        curv = float(np.divide(w * w, den, out=np.zeros_like(w), where=den > tiny).sum())
+        step = nu + (nrm - r) / r * nrm * nrm / curv
+        nu_next = step if lo < step < hi else 0.5 * (lo + hi)
+        if nu_next == nu:
+            break
+        nu = nu_next
+    return w
+
+
 def strong_delta(target: TargetAccuracy, c: ProblemConstants) -> float:
     """Inner accuracy eps^2 mu_p / (8 M_p^2) required in the strongly convex SAA step."""
     if c.mu_p <= 0:
@@ -371,7 +502,8 @@ def regularized_pipeline(
 
     Adds (eps / (2 R^2)) ||x - c||_2^2 to the empirical objective (modulus
     mu = eps / R^2, centred at the ball centre c, or at the origin on the
-    simplex, where R = 1 bounds ||x||), solves it to the inner accuracy
+    simplex, where R = 1 bounds ||x||), solves it exactly where exact_erm
+    has a closed form and otherwise to the inner accuracy
     delta = eps^3 / (8 M^2 R^2), and returns that solution: a gap of at most
     eps/2 on the regularized problem is a gap of at most eps on the original,
     because the added term is at most eps/2 on the set.
@@ -385,7 +517,7 @@ def regularized_pipeline(
     r2 = set_.radius if set_.kind != "simplex" else 1.0
     mu, delta = tikhonov_parameters(target.epsilon, c.M_p, r2)
     emp, stream = build_empirical(problem, n, stream, HalfSqL2(mu, set_.center))
-    result = solve_erm(emp, delta, budget=budget, x0=x0)
+    result = exact_erm(emp, x0) or solve_erm(emp, delta, budget=budget, x0=x0)
     return result, stream
 
 
@@ -500,26 +632,30 @@ def vr_solve(
 
 
 def norm_power_erm_closed_form(e: EmpiricalObjective) -> np.ndarray:
-    """Exact minimizer of the norm-power empirical objective on the unit ball.
+    """Exact minimizer of the norm-power empirical objective on an
+    origin-centred l2 ball of radius r.
 
-    With xi_bar the sample mean, the minimizer is xi_bar / ||xi_bar||^b where
-    b = 1 outside the unit ball and b = (s-2)/(s-1) inside; s = 1 degenerates
-    to 0 inside and the boundary point outside.
+    With xi_bar the sample mean, the stationary point is xi_bar /
+    ||xi_bar||^((s-2)/(s-1)), of norm ||xi_bar||^(1/(s-1)); it is the
+    minimizer when ||xi_bar|| <= r^(s-1), and r xi_bar / ||xi_bar|| otherwise.
+    s = 1 degenerates to 0 inside (||xi_bar|| <= 1) and the boundary point
+    outside.
     """
     if e.problem.family != "norm_power" or e.composite is not None:
         raise InputError("closed form applies to the bare norm-power family only")
     set_ = e.problem.feasible_set
-    if set_.kind != "l2_ball" or set_.radius != 1.0 or not set_.centered_at_origin():
-        raise InputError("closed form requires the origin-centered unit l2-ball")
-    s = e.problem.s
+    if set_.kind != "l2_ball" or not set_.centered_at_origin():
+        raise InputError("closed form requires an origin-centred l2-ball")
+    s, r = e.problem.s, set_.radius
     xi_bar = e.samples.mean(axis=0)
     nrm = float(np.linalg.norm(xi_bar))
     if nrm == 0.0:
         return np.zeros_like(xi_bar)
+    if nrm > r ** (s - 1.0):
+        return r * xi_bar / nrm
     if s == 1.0:
-        return xi_bar / nrm if nrm > 1.0 else np.zeros_like(xi_bar)
-    b = 1.0 if nrm > 1.0 else (s - 2.0) / (s - 1.0)
-    return xi_bar / nrm**b
+        return np.zeros_like(xi_bar)
+    return xi_bar / nrm ** ((s - 2.0) / (s - 1.0))
 
 
 # ---------------------------------------------------------------------------

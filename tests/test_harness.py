@@ -6,8 +6,10 @@ import pytest
 
 from sastra.errors import DegenerateInputError, InputError
 from sastra.geometry import FeasibleSet
+from sastra import saa_solvers as saa
 from sastra.harness import (
     CurvePoint,
+    ErmSolver,
     RestartSolver,
     SampleComplexityCurve,
     SgdSolver,
@@ -165,6 +167,12 @@ def _batching_cases():
                        id="sgd[decreasing]-ridge-l1")
     yield pytest.param(RestartSolver(), NormPower(s=2.0, sigma=1.0, dim=5), 2000,
                        id="restart-norm_power-l2")
+    # offline: exact ERM, free-space least squares and the secular equation
+    for name, n in (("free", 30), ("l2_off_centre", 5)):
+        yield pytest.param(ErmSolver(),
+                           RidgeRegression(coefficients=[0.3, -0.2, 0.1], sigma=1.0,
+                                           feasible_set=_SETS[name]), n,
+                           id=f"erm-ridge-{name}")
 
 
 class _NanSamples:
@@ -214,6 +222,31 @@ class TestLockstepTrials:
         (single,) = run_trials(solver, problem, n, 1, 703)
         assert [r.failed for r in block] == [t == 4 for t in range(1, 9)]
         assert block[3].diagnostic == single.diagnostic == f"RunAborted: {alone}"
+
+
+class _IterativeCalled(Exception):
+    pass
+
+
+class TestErmFastPath:
+    @pytest.fixture
+    def no_iterative(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise _IterativeCalled
+        monkeypatch.setattr(saa, "solve_erm", refuse)
+
+    @pytest.mark.parametrize("problem", [
+        RidgeRegression(coefficients=[0.3, -0.2, 0.1], sigma=1.0, feasible_set=_SETS["free"]),
+        GaussianMean(mean=[0.2, 0.3, 0.5], sigma=1.0, feasible_set=_SETS["simplex"]),
+        NormPower(s=2.0, sigma=1.0, dim=3, feasible_set=FeasibleSet.l2_ball(3, 2.0)),
+    ], ids=["ridge-free", "gaussian_mean-simplex", "norm_power-l2_radius_2"])
+    def test_closed_forms_never_iterate(self, problem, no_iterative):
+        results = run_trials(ErmSolver(), problem, 40, 4, 900)
+        assert not any(r.failed for r in results)
+
+    def test_soft_svm_iterates(self, no_iterative):
+        with pytest.raises(_IterativeCalled):
+            run_trials(ErmSolver(), SoftSVM(concept=[1.5, 0.0]), 40, 1, 900)
 
 
 class TestSuccessProbability:

@@ -146,6 +146,17 @@ class TestPopulationGap:
                 assert p.population_gap(x) >= c.mu_ps * np.linalg.norm(x) ** s - 1e-12
 
 
+class TestPointLayout:
+    def test_strided_soft_svm_point_grades_like_its_copy(self):
+        # rows of a Fortran-ordered block are strided views; BLAS rounds
+        # strided and contiguous dot products differently
+        p = SoftSVM(concept=2.0 * np.ones(10) / math.sqrt(10.0))
+        block = np.asfortranarray((uniform_values(5, 0, 640).reshape(64, 10) - 0.5) * 0.6)
+        for row in block:
+            assert not row.flags.c_contiguous
+            assert p.population_gap(row) == p.population_gap(row.copy())
+
+
 class TestConstants:
     def test_gaussian_strongly_convex(self, gaussian1d):
         assert gaussian1d.constants().mu_p == 2.0

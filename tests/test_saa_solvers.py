@@ -25,6 +25,7 @@ from sastra.saa_solvers import (
     VRState,
     build_empirical,
     composite_prox_step,
+    exact_erm,
     export_samples,
     import_samples,
     norm_power_erm_closed_form,
@@ -143,6 +144,140 @@ class TestSolveErm:
         assert res.certificate in ("plateau", "budget_exhausted")
         # best-effort point must at least improve on the start
         assert res.value <= emp.value(p.default_x0()) + 1e-12
+
+
+def assert_kkt(emp, x, tol=1e-9):
+    """First-order optimality: zero gradient off the boundary; on an l2
+    sphere the gradient points inward, along -(x - c)."""
+    set_ = emp.problem.feasible_set
+    g = emp.gradient(x)
+    scale = max(1.0, float(np.abs(emp.samples).max()))
+    if set_.kind == "l2_ball":
+        d = x - set_.center
+        if np.linalg.norm(d) >= set_.radius * (1.0 - 1e-9):
+            assert abs(np.linalg.norm(d) - set_.radius) <= 1e-12 * set_.radius
+            inward = np.linalg.norm(g) / np.linalg.norm(d) * d
+            assert np.linalg.norm(g + inward) <= tol * scale
+            return
+    assert np.linalg.norm(g) <= tol * scale
+
+
+def assert_beats_iterative(emp, res, budget=200_000):
+    it = solve_erm(emp, 1e-14, budget=budget)
+    assert res.value <= it.value + 1e-12
+
+
+RIDGE_COEF = [0.5, -0.4, 0.3, 0.2, -0.6]
+OFF_CENTRE_L2 = FeasibleSet.l2_ball(5, 1.0, center=[0.1, -0.1, 0.2, 0.0, -0.3])
+
+
+class TestExactErm:
+    def test_certificate(self):
+        p = GaussianMean(mean=[0.3], sigma=1.0, feasible_set=unconstrained(1))
+        emp, _ = build_empirical(p, 20, p.stream(1))
+        res = exact_erm(emp)
+        assert (res.certified, res.certificate, res.iterations) == (True, "exact", 0)
+        assert res.value == emp.value(res.point)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 40])
+    def test_ridge_free_space(self, n):
+        p = RidgeRegression(coefficients=RIDGE_COEF, sigma=1.0, feasible_set=unconstrained(5))
+        emp, _ = build_empirical(p, n, p.stream(3))
+        x0 = np.array([1.0, 2.0, -1.0, 0.5, 0.0])
+        res = exact_erm(emp, x0)
+        assert_kkt(emp, res.point)
+        assert_beats_iterative(emp, res)
+        if n < 5:  # under-determined: the minimizer nearest x0
+            a, y = emp.samples[:, :-1], emp.samples[:, -1]
+            want = x0 + np.linalg.pinv(a) @ (y - a @ x0)
+            np.testing.assert_allclose(res.point, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 400])
+    @pytest.mark.parametrize("regularized", [False, True])
+    def test_ridge_l2_ball(self, n, regularized):
+        p = RidgeRegression(coefficients=RIDGE_COEF, sigma=2.0, feasible_set=OFF_CENTRE_L2)
+        composite = HalfSqL2(0.3, OFF_CENTRE_L2.center) if regularized else None
+        for seed in range(1, 6):
+            emp, _ = build_empirical(p, n, p.stream(seed), composite)
+            res = exact_erm(emp)
+            assert_kkt(emp, res.point)
+            assert_beats_iterative(emp, res)
+
+    def test_ridge_l2_ball_hits_both_branches(self):
+        p = RidgeRegression(coefficients=RIDGE_COEF, sigma=2.0, feasible_set=OFF_CENTRE_L2)
+        dist = []
+        for n in (2, 400):
+            emp, _ = build_empirical(p, n, p.stream(1))
+            dist.append(np.linalg.norm(exact_erm(emp).point - OFF_CENTRE_L2.center))
+        assert dist[0] == pytest.approx(1.0, abs=1e-12) and dist[1] < 0.99
+
+    @pytest.mark.parametrize("set_", [
+        unconstrained(3),
+        FeasibleSet.l2_ball(3, 0.5, center=[1.0, -0.5, 0.2]),
+        FeasibleSet.l1_ball(3, 0.6, center=[0.2, 0.0, 0.1]),
+        FeasibleSet.simplex(3),
+    ], ids=["free", "l2_off_centre", "l1", "simplex"])
+    @pytest.mark.parametrize("regularized", [False, True])
+    def test_gaussian_mean(self, set_, regularized):
+        mean = [0.2, 0.3, 0.5] if set_.kind == "simplex" else \
+            ([1.1, -0.4, 0.3] if set_.kind == "l2_ball" else [0.1, 0.1, 0.1])
+        p = GaussianMean(mean=mean, sigma=1.0, feasible_set=set_)
+        composite = HalfSqL2(0.7, set_.center) if regularized else None
+        for seed in range(1, 4):
+            emp, _ = build_empirical(p, 10, p.stream(seed), composite)
+            res = exact_erm(emp)
+            xi_bar = emp.samples.mean(axis=0)
+            if not regularized:
+                want = project(set_, xi_bar) if set_.is_bounded else xi_bar
+                np.testing.assert_array_equal(res.point, want)
+            if set_.kind in ("unconstrained", "l2_ball"):
+                assert_kkt(emp, res.point)
+            assert_beats_iterative(emp, res)
+
+    @pytest.mark.parametrize("set_", [unconstrained(3), FeasibleSet.l2_ball(3, 0.3)],
+                             ids=["free", "l2"])
+    def test_finite_sum_quadratic(self, set_):
+        scales = [1.0, 2.0, 4.0] if not set_.is_bounded else None
+        p = FiniteSumQuadratic.from_seed(3, 20, 1.0, seed=4, scales=scales, set_=set_)
+        emp, _ = build_empirical(p, 15, p.stream(2))
+        res = exact_erm(emp)
+        assert_kkt(emp, res.point)
+        assert_beats_iterative(emp, res)
+
+    @pytest.mark.parametrize("r", [0.5, 2.5])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_norm_power(self, r, s, k):
+        # xi_bar of norm k r^(s-1): the stationary point is inside iff k <= 1
+        p = NormPower(s=s, sigma=1.0, dim=3, feasible_set=FeasibleSet.l2_ball(3, r))
+        direction = np.array([0.6, -0.8, 0.0])
+        xi_bar = k * r ** (s - 1.0) * direction
+        emp = EmpiricalObjective(p, xi_bar + np.array([[0.1, 0.2, -0.3], [-0.1, -0.2, 0.3]]))
+        res = exact_erm(emp)
+        x = res.point
+        if k > 1.0:
+            np.testing.assert_allclose(x, r * direction, atol=1e-14)
+        if s == 1.0 and k <= 1.0:
+            # nonsmooth at the minimizer 0: 0 lies in B(0, 1) - xi_bar
+            assert not x.any() and np.linalg.norm(emp.samples.mean(axis=0)) <= 1.0
+        else:
+            assert_kkt(emp, x)
+        assert_beats_iterative(emp, res, budget=60_000)
+
+    def test_no_closed_form(self):
+        svm = SoftSVM(concept=[1.5, 0.0])
+        ridge = RidgeRegression(coefficients=[0.3, -0.2], sigma=1.0,
+                                feasible_set=FeasibleSet.l1_ball(2, 1.0))
+        ridge_free = RidgeRegression(coefficients=[0.3, -0.2], sigma=1.0,
+                                     feasible_set=unconstrained(2))
+        fsq = FiniteSumQuadratic.from_seed(2, 8, 1.0, seed=1, scales=[1.0, 3.0],
+                                           set_=FeasibleSet.l2_ball(2, 1.0))
+        off = NormPower(s=2.0, sigma=1.0, dim=2,
+                        feasible_set=FeasibleSet.l2_ball(2, 1.0, center=[0.1, 0.0]))
+        for problem, composite in ((svm, None), (ridge, None), (ridge_free, L1(0.5)),
+                                   (fsq, None), (off, None)):
+            emp, _ = build_empirical(problem, 10, problem.stream(1), composite)
+            assert exact_erm(emp) is None
 
 
 class TestStrongDelta:
