@@ -405,7 +405,10 @@ def _least_squares_minimizer(e: EmpiricalObjective, x0):
     z; with it, (H + mu/2) z = b.  A free minimizer outside the ball puts the
     solution on the sphere, at the root nu > 0 of ||(H + mu/2 + nu)^-1 b|| = r
     (the trust-region secular equation; H is positive semidefinite, so there
-    is no hard case).
+    is no hard case).  Every case works on the eigendecomposition of the
+    n x n matrix H: a LAPACK least-squares solve on the N x n design costs
+    more and, once N is a few hundred, wakes a second OpenBLAS thread that
+    keeps spinning after the call returns.
     """
     problem = e.problem
     set_ = problem.feasible_set
@@ -418,24 +421,33 @@ def _least_squares_minimizer(e: EmpiricalObjective, x0):
         anchor = problem._coerce_point(x0) if x0 is not None else problem.default_x0()
     resid = y - a @ anchor
     half_mu = 0.0 if e.composite is None else 0.5 * e.composite.mu
-    if half_mu == 0.0:
-        z = np.linalg.lstsq(a, resid, rcond=None)[0]
-        if not set_.is_bounded or np.linalg.norm(z) <= set_.radius:
-            return anchor + z
-    n_terms = a.shape[0]
+    n_terms, dim = a.shape
     lam, q = np.linalg.eigh(a.T @ a / n_terms)
+    lam[: max(dim - n_terms, 0)] = 0.0  # H has rank at most N
     lam = np.maximum(lam, 0.0) + half_mu
     b = a.T @ resid / n_terms
     if half_mu > 0.0:
         centre = e.composite.center
         b = b + half_mu * ((0.0 if centre is None else centre) - anchor)
     beta = b @ q
-    if half_mu > 0.0:
-        z = q @ (beta / lam)
-        if not set_.is_bounded or np.linalg.norm(z) <= set_.radius:
-            return anchor + z
+    w = _shifted_solve(lam, beta, 0.0)
+    # H squares the condition number of A; one refinement step against the
+    # design itself wins back the digits lost near N = n
+    z = q @ w
+    fix = b - a.T @ (a @ z) / n_terms - half_mu * z
+    w = w + _shifted_solve(lam, fix @ q, 0.0)
+    if not set_.is_bounded or np.linalg.norm(w) <= set_.radius:
+        return anchor + q @ w
     z = q @ _secular_point(lam, beta, set_.radius)
     return anchor + z * (set_.radius / np.linalg.norm(z))
+
+
+def _shifted_solve(lam: np.ndarray, beta: np.ndarray, nu: float) -> np.ndarray:
+    """beta / (lam + nu) for ascending lam >= 0; a denominator at rounding
+    level counts as zero and gives 0 (the minimum-norm convention)."""
+    den = lam + nu
+    tiny = lam.size * np.finfo(float).eps * lam[-1]
+    return np.divide(beta, den, out=np.zeros_like(beta), where=den > tiny)
 
 
 def _secular_point(lam: np.ndarray, beta: np.ndarray, r: float) -> np.ndarray:
@@ -444,15 +456,14 @@ def _secular_point(lam: np.ndarray, beta: np.ndarray, r: float) -> np.ndarray:
     Newton on 1/||w(nu)|| - 1/r, which is concave and increasing in nu, so
     from the lower bound max(0, ||beta||/r - lam_max) the iterates rise
     monotonically to the root (More & Sorensen, SISC 1983); a step leaving
-    the bracket [lo, ||beta||/r] bisects instead.  At nu = 0, eigenvalues at
-    rounding level count as zero: the minimum-norm convention.
+    the bracket [lo, ||beta||/r] bisects instead.
     """
     tiny = lam.size * np.finfo(float).eps * lam[-1]
     lo, hi = 0.0, float(np.linalg.norm(beta)) / r
     nu = max(lo, hi - lam[-1])
     for _ in range(100):
         den = lam + nu
-        w = np.divide(beta, den, out=np.zeros_like(beta), where=den > tiny)
+        w = _shifted_solve(lam, beta, nu)
         nrm = float(np.linalg.norm(w))
         if nrm > r:
             lo = nu

@@ -179,7 +179,7 @@ class TestExactErm:
         assert (res.certified, res.certificate, res.iterations) == (True, "exact", 0)
         assert res.value == emp.value(res.point)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 40])
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 40])
     def test_ridge_free_space(self, n):
         p = RidgeRegression(coefficients=RIDGE_COEF, sigma=1.0, feasible_set=unconstrained(5))
         emp, _ = build_empirical(p, n, p.stream(3))
@@ -187,10 +187,10 @@ class TestExactErm:
         res = exact_erm(emp, x0)
         assert_kkt(emp, res.point)
         assert_beats_iterative(emp, res)
-        if n < 5:  # under-determined: the minimizer nearest x0
-            a, y = emp.samples[:, :-1], emp.samples[:, -1]
-            want = x0 + np.linalg.pinv(a) @ (y - a @ x0)
-            np.testing.assert_allclose(res.point, want, rtol=0, atol=1e-12)
+        # the minimizer nearest x0 (the only one once N >= n)
+        a, y = emp.samples[:, :-1], emp.samples[:, -1]
+        want = x0 + np.linalg.pinv(a) @ (y - a @ x0)
+        np.testing.assert_allclose(res.point, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 400])
     @pytest.mark.parametrize("regularized", [False, True])
