@@ -4,14 +4,13 @@ Config files are flat sectioned key=value text (INI syntax) with three
 sections: [problem], [solver], [experiment].  Parsing validates every key and
 reports all problems at once; an unknown key is an error naming that key.
 The `sastra` entry point exposes one subcommand per experiment mode plus a
-built-in invariant suite; `--strict` turns flagged results (saturation,
-uncertified solves, failed trials) into a nonzero exit status.
+built-in invariant suite; `--strict` turns flagged results (saturated
+searches, failed trials) into a nonzero exit status.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
 from configparser import ConfigParser
@@ -23,7 +22,7 @@ from .errors import ConfigError, InputError, SastraError
 from .geometry import FeasibleSet
 from . import harness, problems, saa_solvers as saa
 
-__all__ = ["ExperimentConfig", "parse_config", "format_config", "dispatch", "main"]
+__all__ = ["ExperimentConfig", "parse_config", "dispatch", "main"]
 
 _MODES = ("single-run", "sample-complexity", "rate-curve", "verify")
 _ALGORITHMS = ("sgd", "restart", "erm", "regularized_erm", "vr_erm", "batched_accel")
@@ -205,19 +204,6 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def format_config(config: ExperimentConfig) -> str:
-    """Canonical round-trippable text: parse(format_config(c)) == c."""
-    buf = io.StringIO()
-    for section in ("problem", "solver", "experiment"):
-        buf.write(f"[{section}]\n")
-        for key, value in getattr(config, section):
-            if isinstance(value, tuple):
-                value = ", ".join(repr(v) for v in value)
-            buf.write(f"{key} = {value}\n")
-        buf.write("\n")
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # building runtime objects from a config
 # ---------------------------------------------------------------------------
@@ -301,8 +287,7 @@ def dispatch(config: ExperimentConfig, strict: bool = False, out: str | None = N
     """Run the configured mode, write reports, print a one-line summary.
 
     Returns the process exit status: 0 on success; under --strict any
-    flagged result (saturated search, uncertified solve, failed trial)
-    becomes nonzero.
+    flagged result (a saturated search, a failed trial) becomes nonzero.
     """
     e = config.section("experiment")
     mode = e["mode"]
@@ -346,19 +331,16 @@ def dispatch(config: ExperimentConfig, strict: bool = False, out: str | None = N
             )
     elif mode == "sample-complexity":
         epsilon = eps[0]
-        res = harness.find_sample_complexity(
-            solver, problem, epsilon, e["beta"], trials=e["trials"],
+        curve = harness.measure_curve(
+            solver, problem, [epsilon], e["beta"], trials=e["trials"],
             max_n=e["max_n"], base_seed=seed + 10_000,
         )
-        k_at = next((k for (n_, k, _t) in reversed(res.probes) if n_ == res.n), 0)
-        curve = harness.SampleComplexityCurve(
-            (harness.CurvePoint(epsilon, e["beta"], res.n, e["trials"], k_at, res.saturated),)
-        )
         harness.write_report(curve, path)
-        flagged = res.saturated
+        (point,) = curve.points
+        flagged = point.saturated
         print(
             f"complexity solver={solver.id} problem={problem.family} epsilon={epsilon} "
-            f"N={res.n}{' SATURATED' if res.saturated else ''} out={path}"
+            f"N={point.n}{' SATURATED' if flagged else ''} out={path}"
         )
     elif mode == "rate-curve":
         curve = harness.measure_curve(

@@ -1,5 +1,15 @@
 """Exception taxonomy shared by all sastra modules."""
 
+__all__ = [
+    "SastraError",
+    "InputError",
+    "PreconditionError",
+    "DegenerateInputError",
+    "NotApplicableError",
+    "UnsupportedCombinationError",
+    "ConfigError",
+]
+
 
 class SastraError(Exception):
     """Base class for all errors raised by this package."""
@@ -15,10 +25,6 @@ class PreconditionError(SastraError, ValueError):
 
 class DegenerateInputError(SastraError, ValueError):
     """Input is formally valid but the operation is undefined on it."""
-
-
-class UnboundedSetError(SastraError, ValueError):
-    """Operation requires a bounded feasible set."""
 
 
 class NotApplicableError(SastraError, ValueError):

@@ -22,7 +22,6 @@ from .errors import (
     DegenerateInputError,
     InputError,
     PreconditionError,
-    UnboundedSetError,
 )
 
 __all__ = [
@@ -30,11 +29,9 @@ __all__ = [
     "L2_BALL",
     "L1_BALL",
     "SIMPLEX",
-    "NormTag",
     "FeasibleSet",
     "project",
     "mirror_step",
-    "set_diameter",
     "contains",
     "make_mirror_stepper",
     "row_dot",
@@ -51,17 +48,6 @@ _KINDS = (UNCONSTRAINED, L2_BALL, L1_BALL, SIMPLEX)
 # Default membership tolerance: covers float drift accumulated across ~1e6
 # projected steps.
 MEMBERSHIP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class NormTag:
-    """Which lp-norm constants and diameters refer to. Only p in {1, 2}."""
-
-    p: int = 2
-
-    def __post_init__(self):
-        if self.p not in (1, 2):
-            raise InputError(f"norm p must be 1 or 2, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -249,23 +235,6 @@ def _entropic_update(x: np.ndarray, g: np.ndarray, gamma) -> np.ndarray:
     logw -= logw.max(axis=-1, keepdims=True)
     w = np.exp(logw)
     return w / w.sum(axis=-1, keepdims=True)
-
-
-def set_diameter(set_: FeasibleSet, norm: NormTag = NormTag(2)) -> float:
-    """Exact diameter of a bounded set in the requested norm."""
-    if set_.kind == UNCONSTRAINED:
-        raise UnboundedSetError("unconstrained set has no finite diameter")
-    n = set_.dimension
-    if set_.kind == L2_BALL:
-        # sup ||x - y||_1 over the l2 ball is attained on the diagonal direction
-        return 2.0 * set_.radius * (np.sqrt(n) if norm.p == 1 else 1.0)
-    if set_.kind == L1_BALL:
-        # extreme pair is +-R e_i in both norms
-        return 2.0 * set_.radius
-    # simplex: distance between two vertices; a single point when n == 1
-    if n == 1:
-        return 0.0
-    return 2.0 if norm.p == 1 else float(np.sqrt(2.0))
 
 
 def make_mirror_stepper(set_: FeasibleSet):

@@ -54,7 +54,6 @@ __all__ = [
     "measure_curve",
     "fit_rate",
     "write_report",
-    "read_report",
     "assert_disjoint_streams",
 ]
 
@@ -534,15 +533,3 @@ def write_report(data, path) -> None:
                     )
     except OSError as exc:
         raise InputError(f"cannot write report to {path}: {exc}") from exc
-
-
-def read_report(path) -> tuple[list[str], list[list[str]]]:
-    """Parse a report back into (header, records), skipping summary lines."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    except OSError as exc:
-        raise InputError(f"cannot read report from {path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"report {path} is empty")
-    return rows[0], rows[1:]

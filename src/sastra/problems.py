@@ -34,7 +34,6 @@ __all__ = [
     "SoftSVM",
     "NormPower",
     "FiniteSumQuadratic",
-    "make_problem",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -137,11 +136,6 @@ class SampleStream:
     base_seed: int
     counter: int = 0
 
-    def draw_sample(self):
-        """Return (sample row, advanced stream)."""
-        rows, stream = self.draw_block(1)
-        return rows[0], stream
-
     def draw_block(self, count: int):
         """Return (rows array of shape (count, sample_width), advanced stream)."""
         if count < 0:
@@ -150,10 +144,6 @@ class SampleStream:
         u = _uniform_windows(self.base_seed, self.counter, count, p.rng_words)
         rows = p.rows_from_uniforms(u[:, : p.rng_words])
         return rows, replace(self, counter=self.counter + count)
-
-    def substream(self, index: int) -> "SampleStream":
-        """Derived stream with seed = base_seed XOR index, fresh counter."""
-        return SampleStream(self.problem, (self.base_seed ^ index) & _MASK64, 0)
 
 
 class ProblemInstance:
@@ -841,13 +831,3 @@ _FAMILIES = {
     "norm_power": NormPower,
     "finite_sum_quadratic": FiniteSumQuadratic,
 }
-
-
-def make_problem(family: str, **kwargs) -> ProblemInstance:
-    """Build a problem by family name; unknown names raise InputError."""
-    try:
-        cls = _FAMILIES[family]
-    except KeyError:
-        raise InputError(f"unknown problem family {family!r}") from None
-    return cls(**kwargs)
-

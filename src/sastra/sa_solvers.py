@@ -36,13 +36,9 @@ __all__ = [
     "TargetAccuracy",
     "RunTrace",
     "RunAborted",
-    "step_size",
     "sgd_run",
     "restart_stage_plan",
-    "restarted_run",
     "restarted_budget_run",
-    "BiasedSmoothOracle",
-    "make_minibatch_oracle",
     "minibatch_sizes",
     "batched_accelerated_run",
 ]
@@ -158,19 +154,6 @@ class AdaGrad:
         acc = self.accumulated
         return np.divide(self.R, np.sqrt(acc), out=np.full_like(acc, self.gamma_max),
                          where=acc != 0.0)
-
-
-def step_size(schedule, k: int, last_gradient=None):
-    """Emit the step size for iteration k, advancing schedule state (AdaGrad).
-
-    A float, or under AdaGrad one step per gradient row, shaped (..., 1).
-    """
-    if k < 1:
-        raise InputError("iteration index k must be >= 1")
-    gamma = schedule.step(k, last_gradient)
-    if not np.all(gamma > 0):
-        raise InputError(f"schedule produced nonpositive step {gamma}")
-    return gamma
 
 
 @dataclass(frozen=True)
@@ -398,28 +381,6 @@ def restart_stage_plan(
     return _stage_sizes(c, beta, R1, multiplier, max(1, kappa))
 
 
-def restarted_run(
-    problem: ProblemInstance,
-    target: TargetAccuracy,
-    R1: float,
-    stream,
-    x0,
-    multiplier: float = 1.0,
-):
-    """Restarted mirror descent: halve the growth radius per stage.
-
-    Runs kappa stages with kappa chosen so mu_{p,s} R_1^s 2^{-(kappa+1)} <=
-    epsilon; each stage is a ConstantHorizon sgd_run restarted from the
-    previous stage's averaged point.  Stages average over the tail half,
-    which drops the transient an sgd stage spends traversing the previous
-    radius.  When the target is loose enough that no halving is required, a
-    single stage is run.  ``stream`` is one stream or a list of T, as in
-    sgd_run.
-    """
-    plan = restart_stage_plan(problem, target.epsilon, target.beta, R1, multiplier)
-    return _run_stages(problem, [(n, n) for n in plan], R1, stream, x0)
-
-
 def restarted_budget_run(
     problem: ProblemInstance,
     total_budget: int,
@@ -429,9 +390,13 @@ def restarted_budget_run(
     x0,
     multiplier: float = 1.0,
 ):
-    """Budgeted variant for sample-complexity probing.
+    """Restarted mirror descent within a sample budget: halve the growth
+    radius per stage.
 
-    Runs as many complete stages of the schedule as fit in the sample budget,
+    Each stage is a ConstantHorizon sgd_run restarted from the previous
+    stage's tail-half average, which drops the transient a stage spends
+    traversing the previous radius.  Runs as many complete stages of the
+    schedule as fit in the sample budget,
     then spends the remainder on a partial run of the next stage.  A partial
     stage keeps its planned horizon in the stepsize (the schedule's gamma,
     merely truncated), so small budgets probe the planned stage rather than a
@@ -494,42 +459,8 @@ def _run_stages(problem, stage_runs, R1, stream, x0):
 
 
 # ---------------------------------------------------------------------------
-# minibatch oracle and batched accelerated method
+# batched accelerated method
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class BiasedSmoothOracle:
-    """Minibatch gradient oracle with its recorded bias budget.
-
-    Averaging r i.i.d. stochastic gradients shrinks the variance to
-    sigma^2 / r, which enters smooth-method analyses as a bias term of at
-    most delta = sigma^2 / (2 L r) against the L-smooth upper model.
-    """
-
-    problem: ProblemInstance
-    batch_size: int
-    L: float
-    sigma_sq: float
-    delta: float
-
-    def grad(self, x, stream: SampleStream):
-        rows, stream = stream.draw_block(self.batch_size)
-        return self.problem.batch_subgrad_mean(x, rows), stream
-
-
-def make_minibatch_oracle(problem: ProblemInstance, r: int) -> BiasedSmoothOracle:
-    """Oracle returning the average of r fresh stochastic gradients."""
-    if r < 1:
-        raise InputError("batch size r must be >= 1")
-    c = problem.constants()
-    if not math.isfinite(c.L):
-        raise NotApplicableError("minibatch oracle needs a smooth problem")
-    sigma_sq = c.sigma_star_sq
-    delta = sigma_sq / (2.0 * c.L * r)
-    return BiasedSmoothOracle(
-        problem=problem, batch_size=r, L=c.L, sigma_sq=sigma_sq, delta=delta
-    )
 
 
 def minibatch_sizes(c, radius: float, epsilon: float) -> tuple[int, int]:
@@ -551,10 +482,11 @@ def batched_accelerated_run(
     x0,
     radius: float | None = None,
 ) -> tuple[RunTrace, SampleStream]:
-    """Accelerated two-sequence method driven by a minibatch oracle.
+    """Accelerated two-sequence method driven by minibatch gradients.
 
-    Runs minibatch_sizes(...) = (N, r): N iterations on batches of r
-    gradients; total samples N * r are recorded on the trace.
+    Runs minibatch_sizes(...) = (N, r): N iterations, each on the mean
+    gradient of r fresh samples; total samples N * r are recorded on the
+    trace.
     """
     c = problem.constants()
     if not math.isfinite(c.L):
@@ -572,7 +504,6 @@ def batched_accelerated_run(
             radius = set_.radius
         radius = max(radius, 1e-8)
     n_iters, r = minibatch_sizes(c, radius, target.epsilon)
-    oracle = make_minibatch_oracle(problem, r)
 
     gamma = 1.0 / (2.0 * c.L)  # the batched-oracle analysis runs A(2L, .)
     y = x.copy()
@@ -584,7 +515,8 @@ def batched_accelerated_run(
         sum_full += x
         if k >= tail_from:
             sum_tail += x
-        g, stream = oracle.grad(y, stream)
+        rows, stream = stream.draw_block(r)
+        g = problem.batch_subgrad_mean(y, rows)
         if not np.all(np.isfinite(g)):
             raise RunAborted(f"non-finite batched gradient at iteration {k}")
         x_new = project(set_, y - gamma * g)

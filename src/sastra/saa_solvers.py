@@ -6,16 +6,16 @@ all terms.  Where the empirical problem has a closed-form minimizer,
 exact_erm returns it with the certificate "exact": gaussian_mean on every set,
 finite_sum_quadratic on free space (and on every set when its scales are
 equal), ridge/lasso without an l1 term on free space or an l2 ball, and
-norm_power on an origin-centred l2 ball.  The offline solvers call it first
-and fall back to solve_erm, which certifies delta-accuracy either through a
-strong-convexity bound on the proximal gradient mapping, by comparison
-against the norm-power closed form, or, in the merely convex case, by plateau
-detection, with the certificate kind recorded on the result.
+norm_power on free space or an origin-centred l2 ball.  The offline solvers
+call it first and fall back to solve_erm, which certifies delta-accuracy
+either through a strong-convexity bound on the proximal gradient mapping, by
+comparison against exact_erm's norm-power closed form, or, in the merely
+convex case, by plateau detection, with the certificate kind recorded on the
+result.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -24,16 +24,10 @@ import numpy as np
 from .errors import (
     InputError,
     NotApplicableError,
-    PreconditionError,
     UnsupportedCombinationError,
 )
 from .geometry import FeasibleSet, project
-from .problems import (
-    ProblemConstants,
-    ProblemInstance,
-    SampleStream,
-    uniform_values,
-)
+from .problems import ProblemInstance, SampleStream, uniform_values
 from .sa_solvers import TargetAccuracy
 
 __all__ = [
@@ -44,7 +38,6 @@ __all__ = [
     "ErmResult",
     "exact_erm",
     "solve_erm",
-    "strong_delta",
     "tikhonov_parameters",
     "regularized_pipeline",
     "VRState",
@@ -52,8 +45,6 @@ __all__ = [
     "vr_solve",
     "composite_prox_step",
     "norm_power_erm_closed_form",
-    "export_samples",
-    "import_samples",
 ]
 
 
@@ -267,9 +258,10 @@ def solve_erm(
 
     Smooth (or norm-power) objectives run a proximal gradient loop with
     backtracking; strongly convex ones stop on the gradient-mapping bound,
-    the norm-power family stops against its closed-form oracle, and the
-    merely convex remainder runs an averaged subgradient loop with plateau
-    detection.  Exhausting the budget returns the best point, uncertified.
+    the norm-power family stops against exact_erm's minimizer where it has
+    one, and the rest stop by plateau detection.  Other nonsmooth objectives
+    run an averaged subgradient loop with plateau detection.  Exhausting the
+    budget returns the best point, uncertified.
     """
     if target_delta < 0:
         raise InputError("target_delta must be nonnegative")
@@ -280,14 +272,14 @@ def solve_erm(
     if math.isinf(target_delta):
         return ErmResult(x, e.value(x), 0, True, "vacuous")
 
-    oracle_point = None
-    if problem.family == "norm_power" and e.composite is None:
-        oracle_point = norm_power_erm_closed_form(e)
-        oracle_value = e.value(oracle_point)
+    # bare norm-power objectives backtrack even where the declared L is
+    # infinite (s < 2, or s > 2 on free space): their gradient is continuous
+    norm_power = problem.family == "norm_power" and e.composite is None
+    oracle = exact_erm(e) if norm_power else None
 
     mu = e.strong_convexity()
     lip = e.smoothness()
-    smooth_path = math.isfinite(lip) or oracle_point is not None
+    smooth_path = math.isfinite(lip) or norm_power
 
     if smooth_path:
         gamma = 1.0 / lip if math.isfinite(lip) else 1.0
@@ -307,13 +299,13 @@ def solve_erm(
                     break
                 gamma *= 0.5
             x, f_x = x_new, f_new
-            if oracle_point is not None and f_x - oracle_value <= target_delta:
+            if oracle is not None and f_x - oracle.value <= target_delta:
                 return ErmResult(x, f_x, it, True, "oracle")
-            if oracle_point is None and mu > 0 and it % 10 == 0:
+            if oracle is None and mu > 0 and it % 10 == 0:
                 bound, x_plus = _prox_mapping_certificate(e, x, gamma, mu)
                 if bound <= target_delta:
                     return ErmResult(x_plus, e.value(x_plus), it, True, "strong_convexity")
-            if oracle_point is None and mu == 0 and it % plateau_window == 0:
+            if oracle is None and mu == 0 and it % plateau_window == 0:
                 if plateau_ref - f_x < target_delta / 10.0:
                     return ErmResult(x, f_x, it, True, "plateau")
                 plateau_ref = f_x
@@ -349,24 +341,24 @@ def solve_erm(
 def exact_erm(e: EmpiricalObjective, x0=None) -> ErmResult | None:
     """The exact empirical minimizer where a closed form exists, else None.
 
-    Handles no composite and HalfSqL2; an L1 composite, soft_svm and the
-    quadratics on l1 balls or simplices have no closed form and return None.
-    x0 only matters where the minimizer is not unique (ridge on free space
-    with N < n): the result is then the minimizer nearest x0, the limit of
-    the gradient iteration started there.
+    Handles no composite and HalfSqL2; an L1 composite, soft_svm, the
+    quadratics on l1 balls or simplices and norm_power off free space and
+    origin-centred l2 balls have no closed form and return None.  Where the
+    empirical problem has no minimizer (norm_power with s = 1 on free space)
+    it raises NotApplicableError.  x0 only matters where the minimizer is not
+    unique (ridge on free space with N < n): the result is then the
+    minimizer nearest x0, the limit of the gradient iteration started there.
     """
     problem, composite = e.problem, e.composite
     if composite is not None and not isinstance(composite, HalfSqL2):
         return None
-    set_ = problem.feasible_set
     if problem.family == "gaussian_mean":
         point = _separable_quadratic_minimizer(e, np.full(problem.dimension, 2.0))
     elif problem.family == "finite_sum_quadratic":
         point = _separable_quadratic_minimizer(e, problem.scales)
     elif problem.family in ("ridge", "lasso"):
         point = _least_squares_minimizer(e, x0)
-    elif problem.family == "norm_power" and composite is None and \
-            set_.kind == "l2_ball" and set_.centered_at_origin():
+    elif _norm_power_closed_form_applies(e):
         point = norm_power_erm_closed_form(e)
     else:
         point = None
@@ -480,15 +472,6 @@ def _secular_point(lam: np.ndarray, beta: np.ndarray, r: float) -> np.ndarray:
     return w
 
 
-def strong_delta(target: TargetAccuracy, c: ProblemConstants) -> float:
-    """Inner accuracy eps^2 mu_p / (8 M_p^2) required in the strongly convex SAA step."""
-    if c.mu_p <= 0:
-        raise NotApplicableError("strong_delta needs mu_p > 0")
-    if not math.isfinite(c.M_p):
-        raise NotApplicableError("strong_delta needs a finite M_p")
-    return target.epsilon**2 * c.mu_p / (8.0 * c.M_p**2)
-
-
 def tikhonov_parameters(epsilon: float, m: float, r2: float) -> tuple[float, float]:
     """Regularizer modulus and inner accuracy of the regularized-ERM step.
 
@@ -543,20 +526,17 @@ class VRState:
 
     reference: np.ndarray
     full_gradient: np.ndarray
-    stale: bool = False
 
     @staticmethod
     def at(e: EmpiricalObjective, point) -> "VRState":
         point = e.problem._coerce_point(point)
-        return VRState(point.copy(), e.gradient(point), False)
+        return VRState(point.copy(), e.gradient(point))
 
 
 def vr_gradient(state: VRState, e: EmpiricalObjective, x, t: int) -> np.ndarray:
     """Control-variate gradient: term t at x minus term t at the reference
     plus the stored full gradient.  Its average over all t is exactly the
     full gradient at x."""
-    if state.stale:
-        raise PreconditionError("VR state is stale; rebuild it at the current reference")
     return (
         e.term_subgradient(x, t)
         - e.term_subgradient(state.reference, t)
@@ -642,60 +622,41 @@ def vr_solve(
 # ---------------------------------------------------------------------------
 
 
+def _norm_power_closed_form_applies(e: EmpiricalObjective) -> bool:
+    """The bare norm-power family on free space or an origin-centred l2 ball."""
+    set_ = e.problem.feasible_set
+    return e.problem.family == "norm_power" and e.composite is None and (
+        not set_.is_bounded or set_.kind == "l2_ball" and set_.centered_at_origin()
+    )
+
+
 def norm_power_erm_closed_form(e: EmpiricalObjective) -> np.ndarray:
-    """Exact minimizer of the norm-power empirical objective on an
-    origin-centred l2 ball of radius r.
+    """Exact minimizer of the norm-power empirical objective on free space or
+    an origin-centred l2 ball of radius r (r = inf on free space).
 
     With xi_bar the sample mean, the stationary point is xi_bar /
     ||xi_bar||^((s-2)/(s-1)), of norm ||xi_bar||^(1/(s-1)); it is the
     minimizer when ||xi_bar|| <= r^(s-1), and r xi_bar / ||xi_bar|| otherwise.
     s = 1 degenerates to 0 inside (||xi_bar|| <= 1) and the boundary point
-    outside.
+    outside; on free space the outside case has no minimizer, since
+    ||x|| - <xi_bar, x> is unbounded below, and raises NotApplicableError.
     """
-    if e.problem.family != "norm_power" or e.composite is not None:
-        raise InputError("closed form applies to the bare norm-power family only")
+    if not _norm_power_closed_form_applies(e):
+        raise InputError(
+            "closed form needs the bare norm-power family on free space or an "
+            "origin-centred l2 ball"
+        )
     set_ = e.problem.feasible_set
-    if set_.kind != "l2_ball" or not set_.centered_at_origin():
-        raise InputError("closed form requires an origin-centred l2-ball")
-    s, r = e.problem.s, set_.radius
+    s = e.problem.s
+    r = set_.radius if set_.is_bounded else math.inf
     xi_bar = e.samples.mean(axis=0)
     nrm = float(np.linalg.norm(xi_bar))
     if nrm == 0.0:
         return np.zeros_like(xi_bar)
     if nrm > r ** (s - 1.0):
+        if not set_.is_bounded:  # inf ** (s - 1) is finite only at s = 1
+            raise NotApplicableError("s = 1 with ||xi_bar|| > 1 has no minimizer on free space")
         return r * xi_bar / nrm
     if s == 1.0:
         return np.zeros_like(xi_bar)
     return xi_bar / nrm ** ((s - 2.0) / (s - 1.0))
-
-
-# ---------------------------------------------------------------------------
-# frozen-sample CSV interchange
-# ---------------------------------------------------------------------------
-
-
-def _sample_columns(problem: ProblemInstance) -> list[str]:
-    n = problem.dimension
-    if problem.family in ("ridge", "lasso", "soft_svm"):
-        return [f"a_{i + 1}" for i in range(n)] + ["y"]
-    return [f"xi_{i + 1}" for i in range(n)]
-
-
-def export_samples(e: EmpiricalObjective, path) -> None:
-    """Write the frozen sample set as CSV, one sample per row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_sample_columns(e.problem))
-        for row in e.samples:
-            w.writerow([repr(float(v)) for v in row])
-
-
-def import_samples(problem: ProblemInstance, path, composite=None) -> EmpiricalObjective:
-    """Rebuild an empirical objective from an exported sample CSV."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _sample_columns(problem):
-            raise InputError(f"unexpected sample columns {header}")
-        rows = np.array([[float(v) for v in row] for row in reader], dtype=float)
-    return EmpiricalObjective(problem, rows, composite)

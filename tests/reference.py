@@ -1,5 +1,6 @@
-"""Reference implementations that tests compare sastra against."""
+"""Reference implementations that tests compare sastra against, and a report reader."""
 
+import csv
 import math
 
 import numpy as np
@@ -49,3 +50,10 @@ def accelerated_reference_run(
         x = x + (eta * mu) * (x_f1 - x) - eta * gbar
         x_f = x_f1
     return SlidingResult(x_f, ledger, False, gap_bound)
+
+
+def read_report(path) -> tuple[list[str], list[list[str]]]:
+    """Parse a CSV report back into (header, records), skipping '#' summary lines."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    return rows[0], rows[1:]

@@ -1,0 +1,119 @@
+"""The public surface: every exported name resolves, and something reaches it.
+
+A name in a module's ``__all__``, or a public method of an exported class,
+must be referenced in ``src/`` or ``bench/`` outside its own definition, or
+carry an entry in ``KEEP`` that names the acceptance test or paper concept
+that keeps it.  A reference is a name or attribute in code, or a string
+equal to the name (``bench/spans.py`` patches functions by name); imports
+and ``__all__`` itself do not count.  Methods are matched by attribute name
+alone, so a method shares references with every method of the same name.
+"""
+
+import ast
+import inspect
+import pathlib
+import types
+
+import pytest
+
+import sastra
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "sastra").glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+MODULES = [getattr(sastra, name) for name in sastra.__all__]
+
+# qualified name -> what keeps it although nothing in src/ or bench/ calls it
+KEEP = {
+    "problems.ProblemInstance.loss_value": "the per-sample oracle f(x, xi) of the stochastic program",
+    "problems.FiniteSumQuadratic.interpolating": "test_08: linear rate under interpolation",
+}
+
+
+def _references():
+    """name -> list of (file, line) where code refers to it."""
+    refs = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                skip.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def _definitions(module):
+    """(qualified name, short name, file, first line, last line) for every
+    __all__ entry that is not a module, and every public method of an
+    exported class."""
+    path = pathlib.Path(module.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    spans = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            spans[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    spans[target.id] = node
+    short = module.__name__.rsplit(".", 1)[-1]
+    out = []
+    for name in module.__all__:
+        if isinstance(getattr(module, name), types.ModuleType):
+            continue
+        node = spans[name]
+        out.append((f"{short}.{name}", name, path, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    out.append((f"{short}.{name}.{item.name}", item.name, path,
+                                item.lineno, item.end_lineno))
+    return out
+
+
+@pytest.mark.parametrize("module", [sastra] + MODULES, ids=lambda m: m.__name__)
+def test_every_export_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
+
+
+def _unreached() -> set:
+    refs = _references()
+    unreached = set()
+    for module in MODULES:
+        for qualified, name, path, first, last in _definitions(module):
+            if all(where == path and first <= line <= last
+                   for where, line in refs.get(name, [])):
+                unreached.add(qualified)
+    return unreached
+
+
+def test_every_public_name_is_reached():
+    # both ways: a dead name fails, and so does a KEEP entry that gained a
+    # caller or no longer exists
+    unreached = _unreached()
+    assert unreached - set(KEEP) == set(), (
+        "public names nothing in src/ or bench/ reaches; delete them, or add "
+        "each to KEEP with the test or concept that needs it"
+    )
+    assert set(KEEP) - unreached == set(), "KEEP entries that are reached or gone"
+
+
+def test_errors_are_exported():
+    # errors defines only exception classes; each one is listed
+    classes = {name for name, obj in vars(sastra.errors).items()
+               if inspect.isclass(obj) and obj.__module__ == "sastra.errors"}
+    assert classes == set(sastra.errors.__all__)

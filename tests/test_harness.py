@@ -18,13 +18,13 @@ from sastra.harness import (
     find_sample_complexity,
     fit_rate,
     measure_curve,
-    read_report,
     run_trials,
     success_probability,
     write_report,
 )
 from sastra.problems import GaussianMean, NormPower, RidgeRegression, SampleStream, SoftSVM
 from sastra.sa_solvers import RunAborted
+from reference import read_report
 
 
 @dataclass(frozen=True)
@@ -247,6 +247,38 @@ class TestErmFastPath:
     def test_soft_svm_iterates(self, no_iterative):
         with pytest.raises(_IterativeCalled):
             run_trials(ErmSolver(), SoftSVM(concept=[1.5, 0.0]), 40, 1, 900)
+
+
+class TestErmNormPower:
+    """ERM on norm_power off the origin-centred l2 ball: an l1 ball iterates,
+    free space has the closed form with r = inf."""
+
+    @pytest.mark.parametrize("set_name, s", [
+        ("l1", 1.5), ("l1", 2.0), ("l1", 3.0), ("free", 2.0), ("free", 3.0),
+    ])
+    def test_no_failed_trial_and_exact_point(self, set_name, s):
+        set_ = FeasibleSet.l1_ball(5, 1.0) if set_name == "l1" else FeasibleSet.unconstrained(5)
+        p = NormPower(s=s, sigma=1.0, dim=5, feasible_set=set_)
+        results = run_trials(ErmSolver(), p, 20, 4, 300)
+        assert not any(r.failed for r in results)
+        points = ErmSolver().run(p, 20, [p.stream(r.seed) for r in results])
+        for r, point in zip(results, points):
+            emp, _ = saa.build_empirical(p, 20, p.stream(r.seed))
+            if set_.is_bounded:
+                reference = saa.solve_erm(emp, 1e-13).point
+            else:
+                reference = saa.norm_power_erm_closed_form(emp)
+            assert np.linalg.norm(point - reference) <= 1e-6
+            # the gap is the one of a converged point, not of the start x* = 0
+            assert r.gap == p.population_gap(point) > 0.0
+
+    def test_s1_free_space_without_minimizer_fails_the_trial(self):
+        # sigma = 3, N = 2: ||xi_bar|| > 1, so ||x|| - <xi_bar, x> is unbounded below
+        p = NormPower(s=1.0, sigma=3.0, dim=5, feasible_set=FeasibleSet.unconstrained(5))
+        (r,) = run_trials(ErmSolver(), p, 2, 1, 300)
+        emp, _ = saa.build_empirical(p, 2, p.stream(r.seed))
+        assert np.linalg.norm(emp.samples.mean(axis=0)) > 1.0
+        assert r.failed and r.diagnostic.startswith("NotApplicableError")
 
 
 class TestSuccessProbability:

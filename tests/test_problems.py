@@ -14,7 +14,6 @@ from sastra.problems import (
     RidgeRegression,
     SoftSVM,
     TRUNC3_VARIANCE,
-    make_problem,
     uniform_values,
 )
 from sastra import problems
@@ -31,8 +30,8 @@ def gaussian1d():
 
 class TestStreams:
     def test_same_seed_counter_same_sample(self, gaussian1d):
-        a, _ = gaussian1d.stream(123).draw_sample()
-        b, _ = gaussian1d.stream(123).draw_sample()
+        a, _ = gaussian1d.stream(123).draw_block(1)
+        b, _ = gaussian1d.stream(123).draw_block(1)
         np.testing.assert_array_equal(a, b)
 
     def test_counter_windows_are_position_independent(self, gaussian1d):
@@ -42,16 +41,10 @@ class TestStreams:
         st = gaussian1d.stream(9)
         singles = []
         for _ in range(10):
-            xi, st = st.draw_sample()
+            xi, st = st.draw_block(1)
             singles.append(xi)
         np.testing.assert_array_equal(block, np.vstack(singles))
         assert st.counter == 10
-
-    def test_substream_xor_derivation(self, gaussian1d):
-        st = gaussian1d.stream(5)
-        child = st.substream(12)
-        assert child.base_seed == 5 ^ 12
-        assert child.counter == 0
 
     def test_gaussian_mean_moment(self, gaussian1d):
         rows, _ = gaussian1d.stream(7).draw_block(100_000)
@@ -360,10 +353,6 @@ class TestConstruction:
         with pytest.raises(InputError):
             GaussianMean(mean=[5.0], sigma=1.0,
                          feasible_set=FeasibleSet.l2_ball(1, 1.0))
-
-    def test_make_problem_unknown_family(self):
-        with pytest.raises(InputError):
-            make_problem("polynomial_regression", dimension=2)
 
     def test_lasso_family_tag(self):
         p = Lasso(coefficients=[1.0, 0.0], sigma=0.1, feasible_set=unconstrained(2))

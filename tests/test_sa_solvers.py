@@ -15,12 +15,9 @@ from sastra.sa_solvers import (
     RunAborted,
     TargetAccuracy,
     batched_accelerated_run,
-    make_minibatch_oracle,
     restart_stage_plan,
-    restarted_run,
     restarted_budget_run,
     sgd_run,
-    step_size,
 )
 
 
@@ -44,32 +41,28 @@ def unconstrained(n):
 
 class TestStepSize:
     def test_constant_horizon(self):
-        assert step_size(ConstantHorizon(R=1.0, M=2.0, N=100), 1) == pytest.approx(0.05)
+        assert ConstantHorizon(R=1.0, M=2.0, N=100).step(1, None) == pytest.approx(0.05)
 
     def test_inverse_strong(self):
-        assert step_size(InverseStrong(2.0), 4) == pytest.approx(0.125)
+        assert InverseStrong(2.0).step(4, None) == pytest.approx(0.125)
 
     def test_decreasing(self):
-        assert step_size(Decreasing(R=1.0, M=1.0), 16) == pytest.approx(0.25)
+        assert Decreasing(R=1.0, M=1.0).step(16, None) == pytest.approx(0.25)
 
     def test_adagrad_unit_gradients(self):
         sch = AdaGrad(R=1.0)
         for k in range(1, 5):
-            gamma = step_size(sch, k, np.array([1.0]))
+            gamma = sch.step(k, np.array([1.0]))
         assert gamma == pytest.approx(0.5)
 
     def test_adagrad_zero_history_guard(self):
         sch = AdaGrad(R=1.0)
-        assert step_size(sch, 1, np.zeros(3)) == AdaGrad.gamma_max
+        assert sch.step(1, np.zeros(3)) == AdaGrad.gamma_max
 
     def test_adagrad_fresh_resets(self):
         sch = AdaGrad(R=1.0)
-        step_size(sch, 1, np.array([2.0]))
+        sch.step(1, np.array([2.0]))
         assert sch.fresh().accumulated == 0.0
-
-    def test_bad_k(self):
-        with pytest.raises(InputError):
-            step_size(InverseStrong(1.0), 0)
 
 
 class TestSgdRun:
@@ -197,17 +190,11 @@ class TestRestarts:
         p = NormPower(s=2.0, sigma=1.0, dim=4)
         plan = restart_stage_plan(p, 10.0, 0.3, 1.0)
         assert len(plan) == 1
-        trace, _ = restarted_run(
-            p, TargetAccuracy(epsilon=10.0, beta=0.3), 1.0, p.stream(3),
-            np.array([1.0, 0, 0, 0]),
-        )
-        assert trace.oracle_calls == plan[0]
 
     def test_growth_required(self):
         p = SoftSVM(concept=[1.0, 0.0])
         with pytest.raises(NotApplicableError):
-            restarted_run(p, TargetAccuracy(0.1, 0.3), 1.0, p.stream(1),
-                          np.array([0.0, 0.0]))
+            restarted_budget_run(p, 1000, 0.3, 1.0, p.stream(1), np.array([0.0, 0.0]))
 
     def test_budget_consumed_within_limit(self):
         p = NormPower(s=2.0, sigma=1.0, dim=4)
@@ -220,50 +207,33 @@ class TestRestarts:
     def test_restart_contracts(self):
         p = NormPower(s=2.0, sigma=0.5, dim=4)
         x0 = np.array([1.0, 0, 0, 0])
-        trace, _ = restarted_run(p, TargetAccuracy(0.01, 0.3), 1.0, p.stream(9), x0)
+        plan = restart_stage_plan(p, 0.01, 0.3, 1.0)
+        trace, _ = restarted_budget_run(p, sum(plan), 0.3, 1.0, p.stream(9), x0)
         assert p.population_gap(trace.averaged_point) < p.population_gap(x0)
 
 
-class TestMinibatchOracle:
-    def make_sum(self, sigma_sq=1.0):
-        # two symmetric centers: sigma_star_sq = spread^2 with unit scales
-        a = math.sqrt(sigma_sq)
-        return FiniteSumQuadratic(centers=[[a], [-a]])
-
-    def test_delta_formula(self):
-        p = self.make_sum(1.0)
-        orc = make_minibatch_oracle(p, 100)
-        assert orc.delta == pytest.approx(0.005)
-
+class TestMinibatchGradient:
     def test_r1_single_gradient(self):
-        p = self.make_sum(1.0)
-        orc = make_minibatch_oracle(p, 1)
-        g, stream = orc.grad(np.array([0.3]), p.stream(6))
-        row, _ = p.stream(6).draw_sample()
+        p = FiniteSumQuadratic(centers=[[1.0], [-1.0]])
+        rows, stream = p.stream(6).draw_block(1)
+        g = p.batch_subgrad_mean(np.array([0.3]), rows)
+        (row,), _ = p.stream(6).draw_block(1)
         np.testing.assert_allclose(g, p.loss_subgradient([0.3], row))
         assert stream.counter == 1
 
     def test_variance_shrinks_like_one_over_r(self):
-        p = self.make_sum(1.0)
+        # the minibatch gradient of batched_accelerated_run: the mean of r
+        # fresh gradients; two symmetric centers give sigma_star_sq = 1
+        p = FiniteSumQuadratic(centers=[[1.0], [-1.0]])
         r = 16
-        orc = make_minibatch_oracle(p, r)
         stream = p.stream(12)
         x = np.array([0.0])
         grads = []
         for _ in range(10_000):
-            g, stream = orc.grad(x, stream)
-            grads.append(g[0])
+            rows, stream = stream.draw_block(r)
+            grads.append(p.batch_subgrad_mean(x, rows)[0])
         var = np.var(grads)
         assert var == pytest.approx(1.0 / r, rel=0.2)
-
-    def test_rejects_zero_batch(self):
-        with pytest.raises(InputError):
-            make_minibatch_oracle(self.make_sum(), 0)
-
-    def test_rejects_nonsmooth(self):
-        p = SoftSVM(concept=[1.0, 0.0])
-        with pytest.raises(NotApplicableError):
-            make_minibatch_oracle(p, 4)
 
 
 class TestBatchedAccelerated:

@@ -6,7 +6,6 @@ import pytest
 from sastra.errors import (
     InputError,
     NotApplicableError,
-    PreconditionError,
     UnsupportedCombinationError,
 )
 from sastra.geometry import FeasibleSet, project
@@ -26,12 +25,9 @@ from sastra.saa_solvers import (
     build_empirical,
     composite_prox_step,
     exact_erm,
-    export_samples,
-    import_samples,
     norm_power_erm_closed_form,
     regularized_pipeline,
     solve_erm,
-    strong_delta,
     tikhonov_parameters,
     vr_gradient,
     vr_solve,
@@ -121,6 +117,19 @@ class TestSolveErm:
             res = solve_erm(emp, 1e-13, budget=50_000)
             assert res.certified
             assert np.linalg.norm(res.point - cf) <= 1e-6
+
+    @pytest.mark.parametrize("s", [1.5, 3.0])
+    def test_norm_power_without_closed_form_reaches_minimizer(self, s):
+        # on an l1 ball holding the free minimizer, solve_erm has no oracle
+        # but must still land on the free-space closed form
+        ball = NormPower(s=s, sigma=0.5, dim=5, feasible_set=FeasibleSet.l1_ball(5, 1.0))
+        free = NormPower(s=s, sigma=0.5, dim=5, feasible_set=unconstrained(5))
+        emp, _ = build_empirical(ball, 20, ball.stream(4))
+        x_free = norm_power_erm_closed_form(build_empirical(free, 20, free.stream(4))[0])
+        assert np.abs(x_free).sum() < 1.0
+        res = solve_erm(emp, 1e-10)
+        assert res.certified
+        assert np.linalg.norm(res.point - x_free) <= 1e-6
 
     def test_strongly_convex_certificate(self):
         p = GaussianMean(mean=[0.0, 0.0], sigma=1.0,
@@ -280,31 +289,6 @@ class TestExactErm:
             assert exact_erm(emp) is None
 
 
-class TestStrongDelta:
-    def c(self, mu=1.0, m=1.0):
-        from sastra.problems import ProblemConstants
-
-        return ProblemConstants(M_p=m, L=math.inf, mu_p=mu, sigma_star_sq=1.0,
-                                s=2.0, mu_ps=mu / 2, lambda_sq=1.0)
-
-    def test_hand_value(self):
-        assert strong_delta(TargetAccuracy(0.1, 0.5), self.c()) == pytest.approx(0.00125)
-
-    def test_quadratic_in_epsilon(self):
-        d1 = strong_delta(TargetAccuracy(0.1, 0.5), self.c())
-        d2 = strong_delta(TargetAccuracy(0.2, 0.5), self.c())
-        assert d2 == pytest.approx(4 * d1)
-
-    def test_inverse_quartic_in_m(self):
-        d1 = strong_delta(TargetAccuracy(0.1, 0.5), self.c(m=1.0))
-        d2 = strong_delta(TargetAccuracy(0.1, 0.5), self.c(m=2.0))
-        assert d2 == pytest.approx(d1 / 4)
-
-    def test_needs_strong_convexity(self):
-        with pytest.raises(NotApplicableError):
-            strong_delta(TargetAccuracy(0.1, 0.5), self.c(mu=0.0))
-
-
 class TestRegularizedPipeline:
     def test_regularizer_weight(self):
         # mu = eps / R^2 with eps = 0.1, R = 2
@@ -374,13 +358,6 @@ class TestVrGradient:
         x = np.array([-0.3, 0.8])
         mean = np.mean([vr_gradient(state, emp, x, t) for t in range(5)], axis=0)
         np.testing.assert_allclose(mean, emp.gradient(x), atol=1e-12)
-
-    def test_stale_reference_rejected(self):
-        emp = self.make()
-        state = VRState.at(emp, np.zeros(2))
-        state.stale = True
-        with pytest.raises(PreconditionError):
-            vr_gradient(state, emp, np.zeros(2), 0)
 
     def test_bad_term_index(self):
         emp = self.make()
@@ -528,6 +505,36 @@ class TestNormPowerClosedForm:
         outside = self.make_emp([[3.0, 4.0]], 1.0)
         np.testing.assert_allclose(norm_power_erm_closed_form(outside), [0.6, 0.8])
 
+    def test_free_space_is_the_ball_formula_with_infinite_radius(self):
+        for s in (1.5, 2.0, 3.0):
+            p = NormPower(s=s, sigma=1.0, dim=2, feasible_set=unconstrained(2))
+            emp = EmpiricalObjective(p, np.array([[2.0, 0.0], [2.0, 0.0]]))
+            # the stationary point, of norm 2^(1/(s-1)) > 1: outside the unit ball
+            np.testing.assert_allclose(norm_power_erm_closed_form(emp),
+                                       [2.0 ** (1.0 / (s - 1.0)), 0.0])
+            res = exact_erm(emp)
+            assert res.certificate == "exact"
+            assert_kkt(emp, res.point)
+
+    def test_s1_free_space(self):
+        p = NormPower(s=1.0, sigma=1.0, dim=2, feasible_set=unconstrained(2))
+        inside = EmpiricalObjective(p, np.array([[0.3, 0.0]]))
+        np.testing.assert_array_equal(norm_power_erm_closed_form(inside), [0.0, 0.0])
+        # ||x|| - <xi_bar, x> is unbounded below once ||xi_bar|| > 1
+        outside = EmpiricalObjective(p, np.array([[3.0, 4.0]]))
+        with pytest.raises(NotApplicableError):
+            norm_power_erm_closed_form(outside)
+        with pytest.raises(NotApplicableError):
+            exact_erm(outside)
+
+    def test_sets_without_closed_form_rejected(self):
+        for set_ in (FeasibleSet.l1_ball(2, 1.0),
+                     FeasibleSet.l2_ball(2, 1.0, center=[0.1, 0.0])):
+            p = NormPower(s=2.0, sigma=1.0, dim=2, feasible_set=set_)
+            emp = EmpiricalObjective(p, np.array([[0.5, 0.0]]))
+            with pytest.raises(InputError):
+                norm_power_erm_closed_form(emp)
+
     def test_wrong_family_rejected(self):
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
         emp = EmpiricalObjective(p, np.array([[1.0]]))
@@ -539,21 +546,3 @@ class TestNormPowerClosedForm:
         emp = EmpiricalObjective(p, np.array([[0.5]]), HalfSqL2(1.0))
         with pytest.raises(InputError):
             norm_power_erm_closed_form(emp)
-
-
-class TestSampleCsv:
-    def test_roundtrip(self, tmp_path):
-        p = RidgeRegression(coefficients=[1.0, -2.0], sigma=0.5,
-                            feasible_set=unconstrained(2))
-        emp, _ = build_empirical(p, 7, p.stream(5))
-        path = tmp_path / "samples.csv"
-        export_samples(emp, path)
-        back = import_samples(p, path)
-        np.testing.assert_array_equal(back.samples, emp.samples)
-
-    def test_wrong_columns_rejected(self, tmp_path):
-        p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
-        path = tmp_path / "bad.csv"
-        path.write_text("a_1,y\n1.0,2.0\n", encoding="utf-8")
-        with pytest.raises(InputError):
-            import_samples(p, path)
