@@ -1,8 +1,11 @@
 """Config-driven command line: run / complexity / curve / verify.
 
 Config files are flat sectioned key=value text (INI syntax) with three
-sections: [problem], [solver], [experiment].  Parsing validates every key and
-reports all problems at once; an unknown key is an error naming that key.
+sections: [problem], [solver], [experiment].  [solver] names the algorithm
+and, where the algorithm has one, its schedule, restart multiplier and start
+point; every other solver parameter follows from the problem, the target
+epsilon and [experiment] beta.  Parsing validates every key and reports all
+problems at once; an unknown key is an error naming that key.
 The `sastra` entry point exposes one subcommand per experiment mode plus a
 built-in invariant suite; `--strict` turns flagged results (saturated
 searches, failed trials) into a nonzero exit status.
@@ -51,13 +54,8 @@ _PROBLEM_KEYS = {
 _SOLVER_KEYS = {
     "algorithm": ("str", None),
     "schedule": ("str", "constant"),
-    "step_multiplier": ("float", 1.0),
     "multiplier": ("float", 1.0),
     "start": ("str", None),
-    "delta": ("float", 1e-10),
-    "budget": ("int", 100_000),
-    "epoch_budget": ("int", 400),
-    "beta": ("float", None),
 }
 _EXPERIMENT_KEYS = {
     "mode": ("str", None),
@@ -72,12 +70,7 @@ _EXPERIMENT_KEYS = {
 # (section, key, test, requirement) for numeric keys; every trial would fail
 # with a value outside its range, so such a config is rejected up front
 _RANGES = (
-    ("solver", "step_multiplier", lambda v: v > 0, "must be positive"),
     ("solver", "multiplier", lambda v: v > 0, "must be positive"),
-    ("solver", "delta", lambda v: v >= 0, "must be nonnegative"),
-    ("solver", "budget", lambda v: v >= 1, "must be >= 1"),
-    ("solver", "epoch_budget", lambda v: v >= 1, "must be >= 1"),
-    ("solver", "beta", lambda v: 0 < v < 1, "must lie in (0, 1)"),
     ("experiment", "beta", lambda v: 0 < v < 1, "must lie in (0, 1)"),
     ("experiment", "trials", lambda v: v >= 1, "must be >= 1"),
     ("experiment", "n", lambda v: v >= 1, "must be >= 1"),
@@ -190,9 +183,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if eps:
         if any(v <= 0 for v in eps):
             errors.append("[experiment]: epsilons must be positive")
-        if mode == "rate-curve" and list(eps) != sorted(eps, reverse=True):
-            errors.append("[experiment]: rate-curve epsilons must be strictly decreasing")
-        if mode == "rate-curve" and len(set(eps)) != len(eps):
+        if mode == "rate-curve" and not all(a > b for a, b in zip(eps, eps[1:])):
             errors.append("[experiment]: rate-curve epsilons must be strictly decreasing")
 
     if errors:
@@ -257,24 +248,18 @@ def build_solver(config: ExperimentConfig):
     s = config.section("solver")
     e = config.section("experiment")
     algo = s["algorithm"]
-    beta = s.get("beta", e["beta"])
     if algo == "sgd":
-        return harness.SgdSolver(
-            schedule=s["schedule"],
-            step_multiplier=s["step_multiplier"],
-            start=s.get("start", "center"),
-        )
+        return harness.SgdSolver(schedule=s["schedule"], start=s.get("start", "center"))
     if algo == "restart":
         return harness.RestartSolver(
-            beta=beta, multiplier=s["multiplier"], start=s.get("start", "boundary")
+            beta=e["beta"], multiplier=s["multiplier"], start=s.get("start", "boundary")
         )
     if algo == "erm":
-        return harness.ErmSolver(delta=s["delta"], budget=s["budget"],
-                                 start=s.get("start", "center"))
+        return harness.ErmSolver(start=s.get("start", "center"))
     if algo == "regularized_erm":
-        return harness.RegularizedErmSolver(beta=beta, budget=s["budget"])
+        return harness.RegularizedErmSolver()
     if algo == "vr_erm":
-        return harness.VrErmSolver(delta=s["delta"], epoch_budget=s["epoch_budget"])
+        return harness.VrErmSolver()
     return harness.BatchedAccelSolver(start=s.get("start", "center"))
 
 
@@ -317,18 +302,13 @@ def dispatch(config: ExperimentConfig, strict: bool = False, out: str | None = N
         flagged = failures > 0
         gaps = [r.gap for r in results if not r.failed]
         med = float(np.median(gaps)) if gaps else math.nan
-        if epsilon is not None and gaps:
-            frac, _ = harness.success_probability(results, epsilon)
-            print(
-                f"single-run solver={solver.id} problem={problem.family} n={e['n']} "
-                f"trials={e['trials']} success_fraction={frac:.3f} "
-                f"median_gap={med:.6g} out={path}"
-            )
-        else:
-            print(
-                f"single-run solver={solver.id} problem={problem.family} n={e['n']} "
-                f"trials={e['trials']} median_gap={med:.6g} failures={failures} out={path}"
-            )
+        frac = ""
+        if epsilon is not None:
+            frac = f" success_fraction={harness.success_probability(results, epsilon)[0]:.3f}"
+        print(
+            f"single-run solver={solver.id} problem={problem.family} n={e['n']} "
+            f"trials={e['trials']}{frac} median_gap={med:.6g} failures={failures} out={path}"
+        )
     elif mode == "sample-complexity":
         epsilon = eps[0]
         curve = harness.measure_curve(
@@ -454,7 +434,7 @@ def builtin_verify():
         for p, n in cases:
             emp, _ = saa.build_empirical(p, n, p.stream(6))
             exact = saa.exact_erm(emp)
-            it = saa.solve_erm(emp, 1e-14, budget=50_000)
+            it = saa.solve_erm(emp, 1e-14)
             if exact.value > it.value + 1e-12:
                 raise AssertionError(f"{p.family}: exact value above the iterative one")
             if np.linalg.norm(exact.point - it.point) > 1e-6:

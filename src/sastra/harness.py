@@ -29,7 +29,6 @@ from .sa_solvers import (
     ConstantHorizon,
     Decreasing,
     InverseStrong,
-    TargetAccuracy,
     batched_accelerated_run,
     minibatch_sizes,
     restarted_budget_run,
@@ -63,6 +62,9 @@ CURVE_HEADER = ["epsilon", "beta", "N", "trials", "successes"]
 _RESOLUTION = 1.1
 # errors that fail a trial; any other exception is a bug and propagates
 _TRIAL_ERRORS = (SastraError, FloatingPointError, np.linalg.LinAlgError)
+# empirical accuracy the iterative ERM and VR solves certify, and the VR epochs
+_ERM_DELTA = 1e-10
+_VR_EPOCHS = 400
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,8 @@ class ComplexityResult:
 
 # ---------------------------------------------------------------------------
 # solver adapters: (problem, sample budget, T streams, epsilon) -> T outcomes,
-# each the trial's point or the error that failed it
+# each the trial's point or the error that failed it.  A solver parameter
+# that is not a field is fixed here or follows from the problem and epsilon.
 # ---------------------------------------------------------------------------
 
 
@@ -171,7 +174,6 @@ class SgdSolver:
     """Projected SGD / mirror descent under one of the stepsize policies."""
 
     schedule: str = "constant"  # constant | inverse_strong | decreasing | adagrad
-    step_multiplier: float = 1.0
     start: str = "center"
 
     @property
@@ -182,7 +184,6 @@ class SgdSolver:
         c = problem.constants()
         set_ = problem.feasible_set
         radius = set_.radius if set_.is_bounded else 1.0
-        radius *= self.step_multiplier
         if self.schedule == "inverse_strong":
             if c.mu_p <= 0:
                 raise NotApplicableError("1/(mu k) schedule needs mu_p > 0")
@@ -232,8 +233,6 @@ class ErmSolver:
     """Freeze n samples, minimize the empirical objective: exactly where it
     has a closed form, else with the certified iterative solver."""
 
-    delta: float = 1e-10
-    budget: int = 100_000
     start: str = "center"
 
     @property
@@ -245,8 +244,7 @@ class ErmSolver:
 
         def solve(stream):
             emp, _ = saa.build_empirical(problem, n, stream)
-            result = saa.exact_erm(emp, x0) or \
-                saa.solve_erm(emp, self.delta, budget=self.budget, x0=x0)
+            result = saa.exact_erm(emp, x0) or saa.solve_erm(emp, _ERM_DELTA, x0=x0)
             return result.point
 
         return _each_stream(streams, solve)
@@ -256,9 +254,6 @@ class ErmSolver:
 class RegularizedErmSolver:
     """Tikhonov pipeline; the regularizer weight tracks the probe epsilon."""
 
-    beta: float = 0.1
-    budget: int = 100_000
-
     @property
     def id(self) -> str:
         return "regularized_erm"
@@ -266,17 +261,13 @@ class RegularizedErmSolver:
     def run(self, problem, n, streams, epsilon=None) -> list:
         if epsilon is None:
             raise InputError("regularized pipeline needs a target epsilon")
-        target = TargetAccuracy(epsilon=epsilon, beta=self.beta)
         return _each_stream(streams, lambda stream: saa.regularized_pipeline(
-            problem, target, n, stream, budget=self.budget)[0].point)
+            problem, epsilon, n, stream)[0].point)
 
 
 @dataclass(frozen=True)
 class VrErmSolver:
     """Freeze n samples, minimize with the variance-reduced epoch solver."""
-
-    delta: float = 1e-10
-    epoch_budget: int = 400
 
     @property
     def id(self) -> str:
@@ -285,7 +276,7 @@ class VrErmSolver:
     def run(self, problem, n, streams, epsilon=None) -> list:
         def solve(stream):
             emp, stream = saa.build_empirical(problem, n, stream)
-            return saa.vr_solve(emp, self.delta, self.epoch_budget, stream).point
+            return saa.vr_solve(emp, _ERM_DELTA, _VR_EPOCHS, stream).point
 
         return _each_stream(streams, solve)
 
@@ -313,9 +304,8 @@ class BatchedAccelSolver:
                 hi = mid
             else:
                 lo = mid
-        target = TargetAccuracy(epsilon=hi, beta=0.5)
         return _each_stream(streams, lambda stream: batched_accelerated_run(
-            problem, target, stream, x0, radius=radius)[0].averaged_point)
+            problem, hi, stream, x0, radius=radius)[0].averaged_point)
 
 
 # ---------------------------------------------------------------------------

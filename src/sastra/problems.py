@@ -805,15 +805,16 @@ def _svm_objective(alpha, beta, kappa, n, nodes=_SVM_NODES) -> float:
     return float(np.sum(width * w * c ** (n - 2) * g)) / beta_fn(0.5, 0.5 * (n - 1))
 
 
-def _argmin_convex(f, lo, hi, tol=1e-8):
-    """Golden-section minimizer of a convex f on [lo, hi]; the ends are
-    candidates too, so a minimizer on the boundary is returned exactly.
+def _argmin_convex(f, lo, hi):
+    """Golden-section minimizer of a convex f on [lo, hi], to a bracket of
+    width 1e-8; the ends are candidates too, so a minimizer on the boundary is
+    returned exactly.
     (Importing scipy.optimize instead would add ~0.3 s to every start-up.)"""
     g = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = lo, hi
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-8:
         if fc <= fd:  # the minimum lies in [a, d]: shift c to d
             b, d, fd, c = d, c, fc, d - g * (d - a)
             fc = f(c)

@@ -33,7 +33,6 @@ __all__ = [
     "InverseStrong",
     "Decreasing",
     "AdaGrad",
-    "TargetAccuracy",
     "RunTrace",
     "RunAborted",
     "sgd_run",
@@ -154,20 +153,6 @@ class AdaGrad:
         acc = self.accumulated
         return np.divide(self.R, np.sqrt(acc), out=np.full_like(acc, self.gamma_max),
                          where=acc != 0.0)
-
-
-@dataclass(frozen=True)
-class TargetAccuracy:
-    """Accuracy contract: gap epsilon with failure probability beta."""
-
-    epsilon: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InputError("epsilon must be positive")
-        if not 0.0 < self.beta < 1.0:
-            raise InputError("beta must lie in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +462,19 @@ def minibatch_sizes(c, radius: float, epsilon: float) -> tuple[int, int]:
 
 def batched_accelerated_run(
     problem: ProblemInstance,
-    target: TargetAccuracy,
+    epsilon: float,
     stream: SampleStream,
     x0,
     radius: float | None = None,
 ) -> tuple[RunTrace, SampleStream]:
     """Accelerated two-sequence method driven by minibatch gradients.
 
-    Runs minibatch_sizes(...) = (N, r): N iterations, each on the mean
-    gradient of r fresh samples; total samples N * r are recorded on the
-    trace.
+    Runs minibatch_sizes(...) = (N, r) for the target gap epsilon: N
+    iterations, each on the mean gradient of r fresh samples; total samples
+    N * r are recorded on the trace.
     """
+    if not epsilon > 0:
+        raise InputError("epsilon must be positive")
     c = problem.constants()
     if not math.isfinite(c.L):
         raise NotApplicableError("batched acceleration needs a smooth problem")
@@ -503,7 +490,7 @@ def batched_accelerated_run(
         if radius == 0.0 and set_.is_bounded:
             radius = set_.radius
         radius = max(radius, 1e-8)
-    n_iters, r = minibatch_sizes(c, radius, target.epsilon)
+    n_iters, r = minibatch_sizes(c, radius, epsilon)
 
     gamma = 1.0 / (2.0 * c.L)  # the batched-oracle analysis runs A(2L, .)
     y = x.copy()

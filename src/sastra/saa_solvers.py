@@ -7,11 +7,11 @@ exact_erm returns it with the certificate "exact": gaussian_mean on every set,
 finite_sum_quadratic on free space (and on every set when its scales are
 equal), ridge/lasso without an l1 term on free space or an l2 ball, and
 norm_power on free space or an origin-centred l2 ball.  The offline solvers
-call it first and fall back to solve_erm, which certifies delta-accuracy
-either through a strong-convexity bound on the proximal gradient mapping, by
-comparison against exact_erm's norm-power closed form, or, in the merely
-convex case, by plateau detection, with the certificate kind recorded on the
-result.
+call it first and fall back to solve_erm.  Its proximal gradient loop
+certifies delta-accuracy through a strong-convexity bound on the gradient
+mapping, or, in the merely convex case, by plateau detection; its averaged
+subgradient loop (soft_svm) cannot certify its stop and returns it
+uncertified.  The certificate kind is recorded on the result.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
 )
 from .geometry import FeasibleSet, project
 from .problems import ProblemInstance, SampleStream, uniform_values
-from .sa_solvers import TargetAccuracy
 
 __all__ = [
     "HalfSqL2",
@@ -229,8 +228,8 @@ class ErmResult:
     value: float
     iterations: int
     certified: bool
-    # exact (closed form, 0 iterations) | strong_convexity | oracle | plateau
-    # | vacuous | budget_exhausted; only budget_exhausted is uncertified
+    # certified: exact (closed form, 0 iterations) | strong_convexity | oracle
+    # | plateau | vacuous; uncertified: subgradient_plateau | budget_exhausted
     certificate: str
 
 
@@ -251,7 +250,7 @@ def _prox_mapping_certificate(e: EmpiricalObjective, x, gamma: float, mu: float)
 def solve_erm(
     e: EmpiricalObjective,
     target_delta: float,
-    budget: int = 200_000,
+    budget: int = 100_000,
     x0=None,
 ) -> ErmResult:
     """Reach f_bar(x) - f_bar(x_hat) <= delta with a certificate.
@@ -260,8 +259,12 @@ def solve_erm(
     backtracking; strongly convex ones stop on the gradient-mapping bound,
     the norm-power family stops against exact_erm's minimizer where it has
     one, and the rest stop by plateau detection.  Other nonsmooth objectives
-    run an averaged subgradient loop with plateau detection.  Exhausting the
-    budget returns the best point, uncertified.
+    run an averaged subgradient loop.  It stops once its average improves by
+    less than delta/10 over 200 iterations, which at an O(1/sqrt(k)) rate
+    says nothing about the distance to the optimum (on soft_svm with N = 40
+    it stops up to 15 delta above it), so that stop is uncertified:
+    "subgradient_plateau".  Exhausting the budget returns the best point,
+    uncertified.
     """
     if target_delta < 0:
         raise InputError("target_delta must be nonnegative")
@@ -333,7 +336,7 @@ def solve_erm(
             if f_bar < f_best:
                 f_best, x_best = f_bar, x_bar.copy()
             if plateau_ref - f_bar < max(target_delta, 1e-14) / 10.0:
-                return ErmResult(x_best, f_best, it, True, "plateau")
+                return ErmResult(x_best, f_best, it, False, "subgradient_plateau")
             plateau_ref = f_bar
     return ErmResult(x_best, f_best, budget, False, "budget_exhausted")
 
@@ -486,22 +489,22 @@ def tikhonov_parameters(epsilon: float, m: float, r2: float) -> tuple[float, flo
 
 def regularized_pipeline(
     problem: ProblemInstance,
-    target: TargetAccuracy,
+    epsilon: float,
     n: int,
     stream: SampleStream,
-    x0=None,
-    budget: int = 200_000,
 ) -> tuple[ErmResult, SampleStream]:
     """Tikhonov-regularized ERM for convex problems on bounded sets.
 
     Adds (eps / (2 R^2)) ||x - c||_2^2 to the empirical objective (modulus
     mu = eps / R^2, centred at the ball centre c, or at the origin on the
     simplex, where R = 1 bounds ||x||), solves it exactly where exact_erm
-    has a closed form and otherwise to the inner accuracy
+    has a closed form and otherwise with solve_erm to the inner accuracy
     delta = eps^3 / (8 M^2 R^2), and returns that solution: a gap of at most
     eps/2 on the regularized problem is a gap of at most eps on the original,
     because the added term is at most eps/2 on the set.
     """
+    if not epsilon > 0:
+        raise InputError("epsilon must be positive")
     set_ = problem.feasible_set
     if not set_.is_bounded:
         raise NotApplicableError("regularization radius needs a bounded set")
@@ -509,9 +512,9 @@ def regularized_pipeline(
     if not math.isfinite(c.M_p):
         raise NotApplicableError("pipeline needs a finite Lipschitz bound M_p")
     r2 = set_.radius if set_.kind != "simplex" else 1.0
-    mu, delta = tikhonov_parameters(target.epsilon, c.M_p, r2)
+    mu, delta = tikhonov_parameters(epsilon, c.M_p, r2)
     emp, stream = build_empirical(problem, n, stream, HalfSqL2(mu, set_.center))
-    result = exact_erm(emp, x0) or solve_erm(emp, delta, budget=budget, x0=x0)
+    result = exact_erm(emp) or solve_erm(emp, delta)
     return result, stream
 
 

@@ -4,6 +4,7 @@ import csv
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from sastra.errors import InputError
 from sastra.sliding import CallLedger, SlidingResult
@@ -50,6 +51,33 @@ def accelerated_reference_run(
         x = x + (eta * mu) * (x_f1 - x) - eta * gbar
         x_f = x_f1
     return SlidingResult(x_f, ledger, False, gap_bound)
+
+
+def hinge_erm_value(emp) -> float:
+    """Minimum of a soft_svm empirical objective over its l2 ball, by SLSQP on
+    the slack formulation: min (1/N) sum t_i over (x, t) with t >= 0,
+    t_i >= 1 - y_i <a_i, x> and ||x - c||^2 <= r^2.  The objective and the
+    constraints are smooth, so the solve is accurate to rounding."""
+    ya = emp.samples[:, :-1] * emp.samples[:, -1][:, None]
+    n_terms, dim = ya.shape
+    set_ = emp.problem.feasible_set
+    cost = np.concatenate([np.zeros(dim), np.full(n_terms, 1.0 / n_terms)])
+    constraints = [
+        {"type": "ineq", "fun": lambda z: z[dim:] - 1.0 + ya @ z[:dim],
+         "jac": lambda z: np.hstack([ya, np.eye(n_terms)])},
+        {"type": "ineq",
+         "fun": lambda z: np.array([set_.radius**2 - np.sum((z[:dim] - set_.center) ** 2)]),
+         "jac": lambda z: np.concatenate([-2.0 * (z[:dim] - set_.center), np.zeros(n_terms)])[None]},
+    ]
+    z0 = np.concatenate([set_.center, np.ones(n_terms)])
+    res = minimize(lambda z: cost @ z, z0, jac=lambda z: cost, constraints=constraints,
+                   bounds=[(None, None)] * dim + [(0.0, None)] * n_terms,
+                   method="SLSQP", options={"ftol": 1e-15, "maxiter": 1000})
+    if not res.success:
+        raise InputError(f"hinge reference did not converge: {res.message}")
+    d = res.x[:dim] - set_.center
+    x = set_.center + d / max(1.0, float(np.linalg.norm(d)) / set_.radius)
+    return emp.value(x)
 
 
 def read_report(path) -> tuple[list[str], list[list[str]]]:

@@ -31,7 +31,6 @@ from sastra.problems import (
 from sastra.sa_solvers import (
     ConstantHorizon,
     InverseStrong,
-    TargetAccuracy,
     batched_accelerated_run,
     sgd_run,
 )
@@ -154,7 +153,7 @@ def test_06_saa_lower_bound_direction():
     p = NormPower(s=2.0, sigma=sigma, dim=n_dim)
     n_samples = int(0.5 * n_dim * sigma**2 / eps)
     assert n_samples == 100
-    res = run_trials(ErmSolver(delta=1e-10), p, n_samples, 200, 6_000)
+    res = run_trials(ErmSolver(), p, n_samples, 200, 6_000)
     frac, (lo, hi) = success_probability(res, eps)
     verdict("06 SAA lower-bound direction", frac < 0.7,
             f"P(gap <= {eps}) = {frac:.3f} < 0.7 at N = {n_samples} "
@@ -171,11 +170,10 @@ def test_07_tikhonov_pipeline():
     # sample size from the regularized-ERM bound, constants set to one
     n = math.ceil((c.M_p**2 * r2**2 / eps**2)
                   * math.log(math.log(c.M_p * r2 / eps) / beta))
-    target = TargetAccuracy(epsilon=eps, beta=beta)
     successes = 0
     uncertified = 0
     for t in range(1, 201):
-        res, _ = saa.regularized_pipeline(p, target, n, p.stream(7_000 + t))
+        res, _ = saa.regularized_pipeline(p, eps, n, p.stream(7_000 + t))
         if not res.certified:
             uncertified += 1
         if p.population_gap(res.point) <= eps:
@@ -250,8 +248,7 @@ def test_10_batched_accelerated_scaling():
     eps = 0.02
     out = {}
     for e in (eps, eps / 4):
-        trace, _ = batched_accelerated_run(p, TargetAccuracy(e, 0.5),
-                                           p.stream(11), x0)
+        trace, _ = batched_accelerated_run(p, e, p.stream(11), x0)
         gap = p.population_gap(trace.final_point)
         out[e] = (trace.iterations, trace.oracle_calls, gap)
     n1, t1, g1 = out[eps]

@@ -70,10 +70,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="warp"):
             parse_config(bad)
 
-    def test_rate_curve_requires_decreasing_epsilons(self):
-        bad = CURVE.format(out="r.csv").replace("0.2, 0.05", "0.05, 0.2")
-        with pytest.raises(ConfigError, match="decreasing"):
+    @pytest.mark.parametrize("epsilons", ["0.05, 0.2", "0.2, 0.2", "0.1, 0.2, 0.1"])
+    def test_rate_curve_requires_decreasing_epsilons(self, epsilons):
+        # one error however many pairs are out of order or repeated
+        bad = CURVE.format(out="r.csv").replace("0.2, 0.05", epsilons)
+        with pytest.raises(ConfigError) as err:
             parse_config(bad)
+        assert err.value.errors == ["[experiment]: rate-curve epsilons must be strictly decreasing"]
 
     def test_missing_section(self):
         text = "[problem]\nfamily = gaussian_mean\ndimension = 1\n"
@@ -102,16 +105,13 @@ mode = dance
     def test_out_of_range_values_collected(self):
         # each of these made every trial fail while the run exited 0
         bad = {
-            ("solver", "step_multiplier"): "-1",
             ("solver", "multiplier"): "0",
-            ("solver", "delta"): "-1",
-            ("solver", "budget"): "0",
-            ("solver", "epoch_budget"): "0",
-            ("solver", "beta"): "1.5",
+            ("experiment", "beta"): "1.5",
+            ("experiment", "trials"): "0",
             ("experiment", "n"): "0",
             ("experiment", "max_n"): "0",
         }
-        text = MINIMAL.format(out="r.csv").replace("n = 100\n", "")
+        text = MINIMAL.format(out="r.csv").replace("n = 100\n", "").replace("trials = 1\n", "")
         for (section, key), value in bad.items():
             text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError) as err:
@@ -124,7 +124,7 @@ mode = dance
         ("problem", "sigma", "nan"),
         ("problem", "sigma", "inf"),
         ("experiment", "epsilons", "nan"),
-        ("solver", "step_multiplier", "inf"),
+        ("solver", "multiplier", "inf"),
     ])
     def test_non_finite_values_rejected(self, section, key, value):
         # float() parses nan and inf; a nan epsilon made the search run to max_n
@@ -180,6 +180,33 @@ class TestDispatch:
         text = out.read_text(encoding="utf-8")
         assert "# fit slope=" in text
         assert "slope=" in capsys.readouterr().out
+
+    def test_single_run_summary_counts_failures(self, tmp_path, capsys):
+        # s = 1 on free space: a sample with |xi| > 1 leaves ERM without a
+        # minimizer, which fails that trial; the summary must say so
+        text = """
+[problem]
+family = norm_power
+dimension = 1
+sigma = 1.0
+s = 1.0
+set = unconstrained
+seed = 1
+
+[solver]
+algorithm = erm
+
+[experiment]
+mode = single-run
+n = 1
+trials = 10
+epsilons = 0.5
+output = {out}
+"""
+        cfg = parse_config(text.format(out=tmp_path / "f.csv"))
+        assert dispatch(cfg) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert " success_fraction=0.900 " in line and " failures=1 " in line
 
     def test_out_override(self, tmp_path):
         cfg = parse_config(MINIMAL.format(out=tmp_path / "a.csv"))

@@ -10,10 +10,12 @@ from sastra import saa_solvers as saa
 from sastra.harness import (
     CurvePoint,
     ErmSolver,
+    RegularizedErmSolver,
     RestartSolver,
     SampleComplexityCurve,
     SgdSolver,
     TRIAL_HEADER,
+    VrErmSolver,
     assert_disjoint_streams,
     find_sample_complexity,
     fit_rate,
@@ -22,7 +24,14 @@ from sastra.harness import (
     success_probability,
     write_report,
 )
-from sastra.problems import GaussianMean, NormPower, RidgeRegression, SampleStream, SoftSVM
+from sastra.problems import (
+    FiniteSumQuadratic,
+    GaussianMean,
+    NormPower,
+    RidgeRegression,
+    SampleStream,
+    SoftSVM,
+)
 from sastra.sa_solvers import RunAborted
 from reference import read_report
 
@@ -279,6 +288,41 @@ class TestErmNormPower:
         emp, _ = saa.build_empirical(p, 2, p.stream(r.seed))
         assert np.linalg.norm(emp.samples.mean(axis=0)) > 1.0
         assert r.failed and r.diagnostic.startswith("NotApplicableError")
+
+
+class TestOfflineConstants:
+    """The offline adapters solve with fixed constants: ERM to delta = 1e-10
+    within 100,000 iterations from the set centre, VR within 400 epochs, and
+    the Tikhonov pipeline with its own inner accuracy."""
+
+    def test_erm_iterative_fallback(self):
+        # an active l1 constraint, and a stop that moves with delta
+        set_ = FeasibleSet.l1_ball(5, 1.0)
+        p = RidgeRegression(coefficients=[0.3, -0.2, 0.1, 0.05, 0.0], sigma=1.0,
+                            feasible_set=set_)
+        (point,) = ErmSolver().run(p, 10, [p.stream(41)])
+        emp, _ = saa.build_empirical(p, 10, p.stream(41))
+        assert saa.exact_erm(emp) is None
+        want = saa.solve_erm(emp, 1e-10, budget=100_000, x0=set_.center)
+        assert want.certified
+        assert point.tobytes() == want.point.tobytes()
+
+    def test_vr_erm(self):
+        p = FiniteSumQuadratic.from_seed(3, 12, 1.0, seed=5, scales=[1.0, 2.0, 4.0])
+        (point,) = VrErmSolver().run(p, 12, [p.stream(42)])
+        emp, stream = saa.build_empirical(p, 12, p.stream(42))
+        want = saa.vr_solve(emp, 1e-10, 400, stream)
+        assert want.certified
+        assert point.tobytes() == want.point.tobytes()
+
+    def test_regularized_erm(self):
+        # unequal scales on a ball: no closed form, so solve_erm runs
+        p = FiniteSumQuadratic.from_seed(3, 12, 1.0, seed=5, scales=[1.0, 2.0, 4.0],
+                                         set_=FeasibleSet.l2_ball(3, 1.0))
+        (point,) = RegularizedErmSolver().run(p, 40, [p.stream(43)], epsilon=0.05)
+        want, _ = saa.regularized_pipeline(p, 0.05, 40, p.stream(43))
+        assert want.certificate == "strong_convexity"
+        assert point.tobytes() == want.point.tobytes()
 
 
 class TestSuccessProbability:

@@ -16,7 +16,6 @@ from sastra.problems import (
     RidgeRegression,
     SoftSVM,
 )
-from sastra.sa_solvers import TargetAccuracy
 from sastra.saa_solvers import (
     EmpiricalObjective,
     HalfSqL2,
@@ -32,6 +31,7 @@ from sastra.saa_solvers import (
     vr_gradient,
     vr_solve,
 )
+from reference import hinge_erm_value
 
 
 def unconstrained(n):
@@ -150,9 +150,20 @@ class TestSolveErm:
         p = SoftSVM(concept=[1.5, 0.0])
         emp, _ = build_empirical(p, 40, p.stream(13))
         res = solve_erm(emp, 1e-4, budget=4000)
-        assert res.certificate in ("plateau", "budget_exhausted")
+        assert not res.certified
+        assert res.certificate in ("subgradient_plateau", "budget_exhausted")
         # best-effort point must at least improve on the start
         assert res.value <= emp.value(p.default_x0()) + 1e-12
+
+    @pytest.mark.parametrize("delta, seeds", [(1e-4, range(13, 17)), (1e-6, [14])])
+    def test_certified_means_within_delta(self, delta, seeds):
+        # a certificate is a claim about the value: certified => f_bar(x) <= f_bar* + delta
+        p = SoftSVM(concept=[1.5, 0.0])
+        for seed in seeds:
+            emp, _ = build_empirical(p, 40, p.stream(seed))
+            res = solve_erm(emp, delta)
+            if res.certified:
+                assert res.value <= hinge_erm_value(emp) + delta, seed
 
 
 def assert_kkt(emp, x, tol=1e-9):
@@ -306,7 +317,7 @@ class TestRegularizedPipeline:
     def test_pipeline_solves_truncated_gaussian(self):
         p = GaussianMean(mean=[0.3], sigma=1.0,
                          feasible_set=FeasibleSet.l2_ball(1, 1.0))
-        res, _ = regularized_pipeline(p, TargetAccuracy(0.2, 0.1), 2000, p.stream(17))
+        res, _ = regularized_pipeline(p, 0.2, 2000, p.stream(17))
         assert res.certified
         assert p.population_gap(res.point) <= 0.2
 
@@ -316,15 +327,20 @@ class TestRegularizedPipeline:
         p = GaussianMean(mean=[10.0], sigma=1.0,
                          feasible_set=FeasibleSet.l2_ball(1, 1.0, center=[10.0]))
         for seed in range(7001, 7011):
-            res, _ = regularized_pipeline(p, TargetAccuracy(0.1, 0.1), 20_000,
-                                          p.stream(seed))
+            res, _ = regularized_pipeline(p, 0.1, 20_000, p.stream(seed))
             assert res.certified
             assert p.population_gap(res.point) <= 0.1, seed
 
     def test_needs_bounded_set(self):
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
         with pytest.raises(NotApplicableError):
-            regularized_pipeline(p, TargetAccuracy(0.1, 0.1), 100, p.stream(0))
+            regularized_pipeline(p, 0.1, 100, p.stream(0))
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
+    def test_rejects_nonpositive_epsilon(self, epsilon):
+        p = GaussianMean(mean=[0.3], sigma=1.0, feasible_set=FeasibleSet.l2_ball(1, 1.0))
+        with pytest.raises(InputError, match="epsilon must be positive"):
+            regularized_pipeline(p, epsilon, 100, p.stream(0))
 
 
 class TestVrGradient:
