@@ -180,6 +180,9 @@ def parse_config(text: str) -> ExperimentConfig:
     eps = e.get("epsilons")
     if mode in ("sample-complexity", "rate-curve") and not eps:
         errors.append(f"[experiment]: mode {mode} needs an epsilons list")
+    elif s.get("algorithm") == "regularized_erm" and not eps:
+        # the regularizer weight follows the target epsilon
+        errors.append("[experiment]: algorithm regularized_erm needs an epsilons list")
     if eps:
         if any(v <= 0 for v in eps):
             errors.append("[experiment]: epsilons must be positive")
@@ -399,6 +402,15 @@ def builtin_verify():
         if np.max(np.abs(mean - emp.gradient(x))) > 1e-12:
             raise AssertionError("vr gradient mean != full gradient")
 
+    def adjacent_seeds():
+        # derived seeds sit above 2^53, so their Philox keys must keep every bit
+        if np.array_equal(problems.uniform_values(2001, 0, 5),
+                          problems.uniform_values(2002, 0, 5)):
+            raise AssertionError("uniform_values(2001) == uniform_values(2002)")
+        a, b = (FiniteSumQuadratic.from_seed(3, 4, 1.0, seed=s).centers for s in (1, 2))
+        if np.array_equal(a, b):
+            raise AssertionError("from_seed(seed=1) == from_seed(seed=2)")
+
     def prox_example():
         out = saa.composite_prox_step([0.0], [3.0], 0.1, saa.L1(1.0),
                                       FeasibleSet.unconstrained(1))
@@ -444,6 +456,7 @@ def builtin_verify():
     check("simplex entropic step stays normalized", simplex_norm)
     check("gaussian-mean recursion equals sample mean", mean_identity)
     check("vr gradient is unbiased over term index", vr_identity)
+    check("derived streams of adjacent seeds differ", adjacent_seeds)
     check("l1 prox closed form", prox_example)
     check("trial determinism across batching", determinism)
     check("exact ERM matches iterative ERM", exact_vs_iterative)

@@ -127,7 +127,7 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each row is one dot product, the one ``a @ b`` computes on a vector, so
     a row's value is the same alone or in a block.
     """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+    return np.vecdot(a, b)[..., None]
 
 
 def _simplex_project(v: np.ndarray, radius: float = 1.0) -> np.ndarray:

@@ -6,17 +6,22 @@ The per-sample subgradient works row by row: row t of a (T, n) block of
 points meets row t of a (T, width) block of samples, which is how the online
 solvers advance T trials at once.
 Sampling is counter-based: sample number ``i`` of a stream occupies a fixed
-window of the Philox-4x64 sequence keyed by the stream seed, so a sample is a
-pure function of (seed, i) regardless of how many samples were drawn before
-it, on every platform.  Normals are produced from fixed-consumption uniforms
-through the inverse CDF, which keeps the window arithmetic exact.
+window of the Philox-4x64 sequence under the 128-bit key (seed, salt), two
+exact 64-bit words, so a sample is a pure function of (seed, i) regardless of
+how many samples were drawn before it, on every platform.  Normals are
+produced from fixed-consumption uniforms through the inverse CDF, which keeps
+the window arithmetic exact.  Each thread keeps one Philox generator and
+sets its whole state (key, counter and output buffer) before every draw, so
+no state carries from one draw to the next; trials run on one thread, and a
+second thread gets its own generator.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import beta as beta_fn, betainc, ndtri
@@ -37,8 +42,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# Key salt: separates sastra sample streams from any other Philox user.
-_KEY_SALT = 0x9E3779B97F4A7C15
+# Key salt: separates sastra sample streams from any other Philox user.  It is
+# 0x9E3779B97F4A7C15 rounded to float64, the key word the streams of every
+# seed below 2^53 have always been drawn under.
+_KEY_SALT = 0x9E3779B97F4A8000
 # Stream-index salts for internal sample consumers (XORed into the base seed).
 CENTER_STREAM_INDEX = 0x5EED_F00D_0000_0002
 INDEX_STREAM_INDEX = 0x5EED_F00D_0000_0003
@@ -54,12 +61,28 @@ def _uniform_windows(seed: int, first_sample: int, count: int, words: int) -> np
     bps = max(1, (words + 3) // 4)
     w4 = 4 * bps
     ctr = first_sample * bps
-    bg = np.random.Philox(
-        key=[seed & _MASK64, _KEY_SALT],
-        counter=[ctr & _MASK64, (ctr >> 64) & _MASK64, 0, 0],
-    )
-    u = np.random.Generator(bg).random(count * w4)
-    return u.reshape(count, w4)
+    gen = _THREAD_PHILOX.generator
+    # the state a fresh Philox(key=, counter=) starts from: an empty buffer
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [ctr & _MASK64, (ctr >> 64) & _MASK64, 0, 0],
+                  "key": [seed & _MASK64, _KEY_SALT]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.random(count * w4).reshape(count, w4)
+
+
+class _ThreadPhilox(threading.local):
+    """One reusable Philox generator per thread; _uniform_windows rekeys it."""
+
+    def __init__(self):
+        self.generator = np.random.Generator(np.random.Philox(0))
+
+
+_THREAD_PHILOX = _ThreadPhilox()
 
 
 def _std_normal(u: np.ndarray) -> np.ndarray:
@@ -143,7 +166,7 @@ class SampleStream:
         p = self.problem
         u = _uniform_windows(self.base_seed, self.counter, count, p.rng_words)
         rows = p.rows_from_uniforms(u[:, : p.rng_words])
-        return rows, replace(self, counter=self.counter + count)
+        return rows, SampleStream(p, self.base_seed, self.counter + count)
 
 
 class ProblemInstance:
@@ -488,6 +511,8 @@ class NormPower(ProblemInstance):
         return self._norm_grad(x) - self.s * rows.mean(axis=0)
 
     def _norm_grad(self, x):
+        if self.s == 2.0:  # s ||x||^(s-2) is the constant 2
+            return 2.0 * x
         # row-wise; the zero subgradient selection of ||.||^s at the origin
         nx = np.sqrt(row_dot(x, x))
         coef = np.power(nx, self.s - 2.0, out=np.zeros_like(nx), where=nx > 0.0)

@@ -78,6 +78,13 @@ class TestParseConfig:
             parse_config(bad)
         assert err.value.errors == ["[experiment]: rate-curve epsilons must be strictly decreasing"]
 
+    def test_regularized_erm_requires_epsilons(self):
+        # its regularizer weight follows epsilon: without one every trial failed
+        bad = MINIMAL.format(out="r.csv").replace("algorithm = sgd", "algorithm = regularized_erm")
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert err.value.errors == ["[experiment]: algorithm regularized_erm needs an epsilons list"]
+
     def test_missing_section(self):
         text = "[problem]\nfamily = gaussian_mean\ndimension = 1\n"
         with pytest.raises(ConfigError, match="solver"):
@@ -157,7 +164,8 @@ class TestBuilders:
     def test_build_each_solver(self):
         for algo in ("sgd", "restart", "erm", "regularized_erm", "vr_erm",
                      "batched_accel"):
-            text = MINIMAL.format(out="r.csv").replace("algorithm = sgd", f"algorithm = {algo}")
+            text = MINIMAL.format(out="r.csv").replace(
+                "algorithm = sgd", f"algorithm = {algo}").replace("n = 100", "n = 100\nepsilons = 0.1")
             solver = build_solver(parse_config(text))
             assert hasattr(solver, "run")
 
@@ -223,6 +231,7 @@ output = {out}
         assert dispatch(cfg) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert "PASS derived streams of adjacent seeds differ" in out
 
     def test_strict_flags_saturation(self, tmp_path):
         # max_n too small for the target epsilon: search saturates

@@ -16,6 +16,7 @@ from sastra.geometry import (
     make_mirror_stepper,
     mirror_step,
     project,
+    row_dot,
 )
 
 
@@ -207,3 +208,23 @@ def test_invalid_constructions():
         FeasibleSet.l2_ball(2, 0.0)
     with pytest.raises(InputError):
         FeasibleSet("cube", 2, 1.0)
+
+
+class TestRowDot:
+    @pytest.mark.parametrize("n", [1, 2, 10, 20, 21, 64])
+    def test_rows_equal_vector_dot_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal((2, 7, 2 * n + 1))
+        layouts = {
+            "c": (a[:, :n].copy(), b[:, :n].copy()),
+            "fortran": (np.asfortranarray(a[:, :n]), np.asfortranarray(b[:, :n])),
+            "strided": (a[1::2, 1:2 * n + 1:2], b[1::2, :n]),
+        }
+        for name, (u, v) in layouts.items():
+            out = row_dot(u, v)
+            assert out.shape == (u.shape[0], 1), name
+            expected = np.array([u[t] @ v[t] for t in range(u.shape[0])])
+            assert out[:, 0].tobytes() == expected.tobytes(), name
+        vector = row_dot(a[0, :n], b[0, :n])
+        assert vector.shape == (1,)
+        assert vector[0] == a[0, :n] @ b[0, :n]

@@ -1,5 +1,8 @@
 import functools
+import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -61,6 +64,98 @@ class TestStreams:
         b = uniform_values(11, 32, 32)
         np.testing.assert_array_equal(a[32:], b)
 
+    # seeds above 2^53 once lost their low bits in the Philox key
+    def test_adjacent_index_seeds_differ(self):
+        assert not np.array_equal(uniform_values(2001, 0, 5), uniform_values(2002, 0, 5))
+
+    def test_adjacent_center_seeds_differ(self):
+        a = FiniteSumQuadratic.from_seed(3, 4, 1.0, seed=1)
+        b = FiniteSumQuadratic.from_seed(3, 4, 1.0, seed=2)
+        assert not np.array_equal(a.centers, b.centers)
+
+    def test_adjacent_large_stream_seeds_differ(self, gaussian1d):
+        a, _ = gaussian1d.stream(2**60).draw_block(5)
+        b, _ = gaussian1d.stream(2**60 + 1).draw_block(5)
+        assert not np.array_equal(a, b)
+
+    def test_threads_draw_what_one_thread_draws(self, gaussian1d):
+        # the reused bit generator is per thread: interleaved draws must not
+        # leak state into each other
+        expected = [gaussian1d.stream(seed).draw_block(2000)[0] for seed in range(6)]
+        got = [None] * 6
+
+        def draw(seed):
+            stream, rows = gaussian1d.stream(seed), []
+            for _ in range(2000):
+                xi, stream = stream.draw_block(1)
+                rows.append(xi)
+            got[seed] = np.vstack(rows)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seed in range(6):
+            np.testing.assert_array_equal(got[seed], expected[seed])
+
+
+def _golden_problem(family):
+    u = FeasibleSet.unconstrained
+    return {
+        "gaussian_mean": lambda: GaussianMean(mean=[0.3, -0.2, 0.1], sigma=1.5,
+                                              feasible_set=u(3)),
+        "ridge": lambda: RidgeRegression(coefficients=[0.5, -0.4, 0.3, 0.1, 0.0],
+                                         sigma=1.0, feasible_set=u(5)),
+        "lasso": lambda: Lasso(coefficients=[0.5, 0.0, 0.0, -0.2], sigma=0.5,
+                               feasible_set=u(4)),
+        "soft_svm": lambda: SoftSVM(concept=[2.0, 0.0, 1.0, 0.5]),
+        "norm_power": lambda: NormPower(s=2.0, sigma=1.0, dim=10),
+        "finite_sum_quadratic": lambda: FiniteSumQuadratic(
+            centers=[[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]),
+    }[family]()
+
+
+# sha256 of the float64 bytes of draw_block(count) after `counter` samples;
+# any change to a sample bit of any family fails here
+_GOLDEN_BLOCKS = {
+    ("gaussian_mean", 1, 0, 1): "2fc32736830f3aa9b81de9e248a1010ec992d3c1de7e36d9aaa045a80d2847bf",
+    ("gaussian_mean", 2000, 5, 50): "1243950f8554f609334da835d6b4408365f172ab7d5e5aa0e8e41ee7abb2a301",
+    ("gaussian_mean", 2**53 - 1, 1000, 17): "3052198824f4c9d2c29e39851d1da6f5bad72355fd5b622b34b4749374d69d82",
+    ("ridge", 1, 0, 1): "4036d4d93f3de329ad6c5c2366b67dbecf18041f3a3076baed175aab9bae1487",
+    ("ridge", 2000, 5, 50): "2c9333c1c39417d6fa0cf174fa7d96b78b3d6b10b0f03dab5eca458c21e81048",
+    ("ridge", 2**53 - 1, 1000, 17): "726cf06461f9bf3eb2f93d21d1f42f8a0ee4f9503f7fbcdf6c8aea4a8f5716a5",
+    ("lasso", 1, 0, 1): "30722b2b6afea7db9c5f725ef2e549d7008749683e88869bb5135e632de6a9dc",
+    ("lasso", 2000, 5, 50): "957ac6bb9ccd3bc960959e26cb8d88af54ab450bd9bb318852c8d67733cbf683",
+    ("lasso", 2**53 - 1, 1000, 17): "66cbb387b5cc9d8f84cd124559758c1b5b15974c58c9a7b369bd07c9c782fe30",
+    ("soft_svm", 1, 0, 1): "8b5bbe2c812f971757459fde959aaeca5247967a347bc09b2b90da763de710f6",
+    ("soft_svm", 2000, 5, 50): "b3b92ea7340780050c5e9008f577ef50d72171fb6f9e5fb125e57a4d7d13a77e",
+    ("soft_svm", 2**53 - 1, 1000, 17): "74afa2a3641eb2bec65d1dcc931edc5bde8148a4afe2b0e00526e8aaf30d0675",
+    ("norm_power", 1, 0, 1): "69f9f745d1d677e437940d1f5481313bbd220c35bf0c43259da9a40a8b72a4ef",
+    ("norm_power", 2000, 5, 50): "776f40f6b3687753922d130eec10d485a3daed0cb69cde7374f63f5937b299dc",
+    ("norm_power", 2**53 - 1, 1000, 17): "6b0b99d6fb89af69c98389ef88d46863bd532ad6896ad80477b489254a8fe022",
+    ("finite_sum_quadratic", 1, 0, 1): "fc62429c3e69001d65972cdeb94fb9aa18a7d9c16bc449e1e474e7e41bb95a7d",
+    ("finite_sum_quadratic", 2000, 5, 50): "901e08579ef1504e7350344118626080d6e414c5ab92a073eaea0e93deaf4442",
+    ("finite_sum_quadratic", 2**53 - 1, 1000, 17): "7649fcee8388dbc3c721901a7940b9571545a98a241658dc1f55792481f366b4",
+}
+
+
+@pytest.mark.parametrize("family, seed, counter, count", sorted(_GOLDEN_BLOCKS))
+def test_draw_block_golden_bits(family, seed, counter, count):
+    stream = _golden_problem(family).stream(seed)
+    if counter:
+        _, stream = stream.draw_block(counter)
+    rows, stream = stream.draw_block(count)
+    digest = hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
+    assert digest == _GOLDEN_BLOCKS[family, seed, counter, count]
+    assert stream.counter == counter + count
+
 
 class TestLossOracles:
     def test_gaussian_mean_values(self, gaussian1d):
@@ -96,6 +191,15 @@ class TestLossOracles:
         np.testing.assert_allclose(
             p.loss_subgradient([0.5, 0.0], [1.0, 0.0]), [-1.0, 0.0]
         )
+
+    def test_norm_power_s2_gradient_matches_masked_power(self):
+        # s = 2 skips the factor s ||x||^(s-2); the bits must be the general path's
+        p = NormPower(s=2.0, sigma=1.0, dim=3)
+        x = np.array([[0.3, -0.4, 1e-300], [0.0, -0.0, 0.0], [np.inf, 1.0, -2.0],
+                      [-np.inf, np.inf, 0.5], [np.nan] * 3, [1e200, -3e199, 7.0]])
+        nx = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        coef = np.power(nx, 0.0, out=np.zeros_like(nx), where=nx > 0.0)
+        assert p._norm_grad(x).tobytes() == ((2.0 * coef) * x).tobytes()
 
     def test_norm_power_origin_subgradient_selector(self):
         p = NormPower(s=1.5, sigma=1.0, dim=2)
