@@ -14,6 +14,7 @@ it, so a block of T points gives, bit for bit, the T one-point results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +111,24 @@ class FeasibleSet:
 
     def centered_at_origin(self) -> bool:
         return self.center is None or not self.center.any()
+
+    def max_distance(self, p) -> float:
+        """An upper bound on ||y - p||_2 over the points y of the set; for a
+        block of points p, one per row, the largest bound over the rows.
+
+        Exact on l2 balls, radius + ||center - p||, and on the simplex, whose
+        farthest point is a vertex.  An l1 ball lies in the l2 ball of the
+        same centre and radius and takes its bound.  inf on free space.
+        """
+        p = _check_vector(self, p)
+        if self.kind == UNCONSTRAINED:
+            return math.inf
+        if self.kind == SIMPLEX:
+            vertices = np.eye(self.dimension)
+            return max(float(np.max(np.linalg.norm(vertices - q, axis=1)))
+                       for q in p.reshape(-1, self.dimension))
+        d = self.center - p
+        return self.radius + float(np.max(np.linalg.norm(d, axis=None if d.ndim == 1 else 1)))
 
 
 def _check_vector(set_: FeasibleSet, x) -> np.ndarray:

@@ -119,13 +119,14 @@ class ProblemConstants:
 
     M_p        Lipschitz constant of f(.,xi) on the feasible set (inf if the
                data is unbounded; some families declare a documented effective
-               RMS bound instead, see the family docstring)
+               RMS bound instead, see the family docstring).  A distance R
+               that it depends on comes from FeasibleSet.max_distance, which
+               is inf on free space.
     L          gradient Lipschitz constant, uniform in xi (inf if nonsmooth)
     mu_p       per-sample strong-convexity modulus (0 if merely convex)
     sigma_star_sq   E ||grad f(x*, xi)||_2^2
     s          growth exponent (>= 1)
     mu_ps      growth modulus (0 if no growth condition is declared)
-    lambda_sq  sub-Gaussian variance proxy of centered loss differences
     """
 
     M_p: float
@@ -134,10 +135,9 @@ class ProblemConstants:
     sigma_star_sq: float
     s: float
     mu_ps: float
-    lambda_sq: float
 
     def __post_init__(self):
-        for name in ("M_p", "L", "mu_p", "sigma_star_sq", "s", "mu_ps", "lambda_sq"):
+        for name in ("M_p", "L", "mu_p", "sigma_star_sq", "s", "mu_ps"):
             if getattr(self, name) < 0:
                 raise InputError(f"constant {name} must be nonnegative")
         if math.isfinite(self.L) and self.mu_p > self.L * (1 + 1e-12):
@@ -163,33 +163,37 @@ class SampleStream:
         """Return (rows array of shape (count, sample_width), advanced stream)."""
         if count < 0:
             raise InputError("count must be nonnegative")
-        p = self.problem
-        u = _uniform_windows(self.base_seed, self.counter, count, p.rng_words)
-        rows = p.rows_from_uniforms(u[:, : p.rng_words])
+        p, words = self.problem, self.problem.rng_words
+        u = _uniform_windows(self.base_seed, self.counter, count, words)
+        rows = p.rows_from_uniforms(u[:, :words])
         return rows, SampleStream(p, self.base_seed, self.counter + count)
 
 
 class ProblemInstance:
     """Base class for stochastic problem families.
 
-    Subclasses fill in the sampler transform, per-sample oracles, the
-    population gap and constants.  Instances are immutable after construction
-    and safe to share across runs.
+    Subclasses hold a ``feasible_set`` and fill in the sampler transform,
+    per-sample oracles, the population gap and constants.  Instances are
+    immutable after construction and safe to share across runs.
     """
 
     family: str = "abstract"
 
+    @property
+    def dimension(self) -> int:
+        return self.feasible_set.dimension
+
     # --- sampling -----------------------------------------------------
 
     @property
-    def rng_words(self) -> int:
-        """Uniform doubles consumed per sample."""
-        raise NotImplementedError
+    def sample_width(self) -> int:
+        """Float columns of one sample row: by default, one per coordinate."""
+        return self.dimension
 
     @property
-    def sample_width(self) -> int:
-        """Float columns of one sample row."""
-        raise NotImplementedError
+    def rng_words(self) -> int:
+        """Uniform doubles consumed per sample: by default, one per column."""
+        return self.sample_width
 
     def rows_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -272,9 +276,9 @@ class GaussianMean(ProblemInstance):
     """Location estimation under Gaussian noise: f(x, xi) = ||xi - x||^2.
 
     The population objective is ||x - x*||^2 + n sigma^2, so the gap is exact.
-    The per-sample loss is 2-strongly convex and 2-smooth.  When the feasible
-    set is bounded, M_p is the documented effective bound 2 (r_max + 3 sigma
-    sqrt n) with r_max the farthest set point from x*; the raw data is
+    The per-sample loss is 2-strongly convex and 2-smooth.  M_p is the
+    documented effective bound 2 (r_max + 3 sigma sqrt n), with r_max the
+    set's max_distance from x* (inf on free space); the raw data is
     unbounded, so no uniform Lipschitz constant exists.
     """
 
@@ -291,18 +295,6 @@ class GaussianMean(ProblemInstance):
         self._validate_optimum()
 
     family = "gaussian_mean"
-
-    @property
-    def dimension(self) -> int:
-        return self.mean.size
-
-    @property
-    def rng_words(self) -> int:
-        return self.dimension
-
-    @property
-    def sample_width(self) -> int:
-        return self.dimension
 
     def rows_from_uniforms(self, u):
         return self.mean + self.sigma * _std_normal(u)
@@ -327,55 +319,26 @@ class GaussianMean(ProblemInstance):
 
     def constants(self) -> ProblemConstants:
         n = self.dimension
-        set_ = self.feasible_set
-        if set_.is_bounded:
-            if set_.kind == "simplex":
-                r_max = float(np.max(np.linalg.norm(np.eye(n) - self.mean, axis=1)))
-            else:
-                r_max = set_.radius + float(np.linalg.norm(set_.center - self.mean))
-            m = 2.0 * (r_max + 3.0 * self.sigma * math.sqrt(n))
-        else:
-            m = math.inf
+        r_max = self.feasible_set.max_distance(self.mean)
         return ProblemConstants(
-            M_p=m,
+            M_p=2.0 * (r_max + 3.0 * self.sigma * math.sqrt(n)),
             L=2.0,
             mu_p=2.0,
             sigma_star_sq=4.0 * n * self.sigma**2,
             s=2.0,
             mu_ps=1.0,
-            lambda_sq=4.0 * self.sigma**2,
         )
 
 
-class _LinearModelProblem(ProblemInstance):
-    """Shared mechanics for regression rows (a_1..a_n, y)."""
-
-    @property
-    def dimension(self) -> int:
-        return self.coefficients.size
-
-    @property
-    def rng_words(self) -> int:
-        return self.dimension + 1
-
-    @property
-    def sample_width(self) -> int:
-        return self.dimension + 1
-
-    def _design_rows(self, u: np.ndarray) -> np.ndarray:
-        """Covariates uniform on the sphere of radius sqrt(n): E a a^T = I."""
-        z = _std_normal(u)
-        nrm = np.sqrt(np.einsum("ij,ij->i", z, z))
-        return z * (math.sqrt(self.dimension) / nrm)[:, None]
-
-
 @dataclass(frozen=True, eq=False)
-class RidgeRegression(_LinearModelProblem):
+class RidgeRegression(ProblemInstance):
     """Least squares with bounded design: y = <a, x*> + sigma eta.
 
-    a is uniform on the sphere of radius sqrt(n) and eta is a standard normal
-    truncated at +-3, so the loss is uniformly M-Lipschitz and 2n-smooth on
-    bounded sets.  The population objective is ||x - x*||^2 + noise floor.
+    A sample is the row (a_1..a_n, y).  a is uniform on the sphere of radius
+    sqrt(n), so E a a^T = I, and eta is a standard normal truncated at +-3,
+    so the loss is uniformly M-Lipschitz and 2n-smooth on bounded sets, with
+    M from R, the set's max_distance from the origin.  The population
+    objective is ||x - x*||^2 + noise floor.
     """
 
     coefficients: np.ndarray
@@ -394,9 +357,15 @@ class RidgeRegression(_LinearModelProblem):
             raise InputError("coefficients and feasible set dimensions differ")
         self._validate_optimum()
 
+    @property
+    def sample_width(self) -> int:
+        return self.dimension + 1
+
     def rows_from_uniforms(self, u):
         n = self.dimension
-        a = self._design_rows(u[:, :n])
+        z = _std_normal(u[:, :n])
+        nrm = np.sqrt(np.einsum("ij,ij->i", z, z))
+        a = z * (math.sqrt(n) / nrm)[:, None]
         noise = self.sigma * _trunc3_normal(u[:, n])
         y = a @ self.coefficients + noise
         return np.hstack([a, y[:, None]])
@@ -423,26 +392,15 @@ class RidgeRegression(_LinearModelProblem):
 
     def constants(self) -> ProblemConstants:
         n = self.dimension
-        set_ = self.feasible_set
-        if set_.is_bounded:
-            if set_.kind == "simplex":
-                r_sup = 1.0
-            else:
-                r_sup = set_.radius + float(np.linalg.norm(set_.center))
-            resid = math.sqrt(n) * (np.linalg.norm(self.coefficients) + r_sup) + 3.0 * self.sigma
-            m = 2.0 * math.sqrt(n) * resid
-            lam_sq = 2.0 * m * m
-        else:
-            m = math.inf
-            lam_sq = math.inf
+        r = self.feasible_set.max_distance(np.zeros(n))
+        resid = math.sqrt(n) * (float(np.linalg.norm(self.coefficients)) + r) + 3.0 * self.sigma
         return ProblemConstants(
-            M_p=m,
+            M_p=2.0 * math.sqrt(n) * resid,
             L=2.0 * n,
             mu_p=0.0,
             sigma_star_sq=4.0 * n * TRUNC3_VARIANCE * self.sigma**2,
             s=2.0,
             mu_ps=1.0,
-            lambda_sq=lam_sq,
         )
 
 
@@ -459,11 +417,11 @@ class NormPower(ProblemInstance):
     """f(x, xi) = ||x||_2^s - s <xi, x> on a ball or free space, xi ~ N(0, sigma^2 I).
 
     The default set is the unit l2-ball.  Population objective ||x||_2^s with
-    optimum at the origin; growth modulus mu_{2,s} = 1 and sub-Gaussian proxy
-    lambda^2 = s^2 sigma^2.  With R the largest ||x||_2 over the feasible set,
-    M_p is the documented effective bound s (R^{s-1} + sigma sqrt n):
-    stochastic gradients are unbounded but their norm concentrates below it.
-    For s > 2, L = s (s-1) R^{s-2}.
+    optimum at the origin and growth modulus mu_{2,s} = 1.  With R the set's
+    max_distance from the origin (inf on free space), M_p is the documented
+    effective bound s (R^{s-1} + sigma sqrt n): stochastic gradients are
+    unbounded but their norm concentrates below it.  For s > 2,
+    L = s (s-1) R^{s-2}.
     """
 
     s: float
@@ -483,18 +441,6 @@ class NormPower(ProblemInstance):
         if self.feasible_set.dimension != self.dim:
             raise InputError("feasible set dimension mismatch")
         self._validate_optimum()
-
-    @property
-    def dimension(self) -> int:
-        return self.dim
-
-    @property
-    def rng_words(self) -> int:
-        return self.dim
-
-    @property
-    def sample_width(self) -> int:
-        return self.dim
 
     def rows_from_uniforms(self, u):
         return self.sigma * _std_normal(u)
@@ -526,12 +472,8 @@ class NormPower(ProblemInstance):
 
     def constants(self) -> ProblemConstants:
         s, n = self.s, self.dim
-        set_ = self.feasible_set
-        # R, the largest ||x||_2 over the set (an upper bound on off-centre l1
-        # balls); the simplex never hosts the family, it misses the origin
-        r = math.inf
-        if set_.is_bounded:
-            r = set_.radius + float(np.linalg.norm(set_.center))
+        # the simplex never hosts the family: it misses the origin
+        r = self.feasible_set.max_distance(np.zeros(n))
         smooth = s * (s - 1.0) * r ** (s - 2.0) if s > 2.0 else math.inf
         return ProblemConstants(
             M_p=s * (r ** (s - 1.0) + self.sigma * math.sqrt(n)),
@@ -540,7 +482,6 @@ class NormPower(ProblemInstance):
             sigma_star_sq=s * s * self.sigma**2 * n,
             s=s,
             mu_ps=1.0,
-            lambda_sq=s * s * self.sigma**2,
         )
 
 
@@ -551,7 +492,8 @@ class FiniteSumQuadratic(ProblemInstance):
     xi is drawn uniformly from a fixed pool of centers.  With all scales d_i
     equal to one this is the plain 1/2 ||x - xi||^2 loss; anisotropic scales
     give a controlled condition number L/mu = max d / min d.  When every
-    center coincides the problem interpolates: sigma*^2 = 0.
+    center coincides the problem interpolates: sigma*^2 = 0.  M_p is max d
+    times the set's max_distance from the farthest center.
     """
 
     centers: np.ndarray
@@ -601,16 +543,8 @@ class FiniteSumQuadratic(ProblemInstance):
         return FiniteSumQuadratic(centers, scales, set_)
 
     @property
-    def dimension(self) -> int:
-        return self.centers.shape[1]
-
-    @property
     def rng_words(self) -> int:
         return 1
-
-    @property
-    def sample_width(self) -> int:
-        return self.dimension
 
     def rows_from_uniforms(self, u):
         m = self.centers.shape[0]
@@ -639,28 +573,14 @@ class FiniteSumQuadratic(ProblemInstance):
         d = self.scales
         diff = self.centers - self._mean_center
         sig = float(np.mean(np.einsum("ij,ij->i", diff * d, diff * d)))
-        set_ = self.feasible_set
-        if set_.is_bounded and set_.kind != "simplex":
-            r_sup = set_.radius + float(
-                np.max(np.linalg.norm(set_.center - self.centers, axis=1))
-            )
-            m = float(np.max(d)) * r_sup
-            lam = 2.0 * m * m
-        elif set_.kind == "simplex":
-            r_sup = 2.0 + float(np.max(np.linalg.norm(self.centers, axis=1)))
-            m = float(np.max(d)) * r_sup
-            lam = 2.0 * m * m
-        else:
-            m = math.inf
-            lam = math.inf
+        lip = float(np.max(d))
         return ProblemConstants(
-            M_p=m,
-            L=float(np.max(d)),
+            M_p=lip * self.feasible_set.max_distance(self.centers),
+            L=lip,
             mu_p=float(np.min(d)),
             sigma_star_sq=sig,
             s=2.0,
             mu_ps=float(np.min(d)) / 2.0,
-            lambda_sq=lam,
         )
 
 
@@ -690,14 +610,6 @@ class SoftSVM(ProblemInstance):
         self._axis = self.concept / self._kappa if self._kappa > 0 else np.eye(n)[0]
         self._x_star = self._minimize()
         self._f_star = self.population_value(self._x_star)
-
-    @property
-    def dimension(self) -> int:
-        return self.concept.size
-
-    @property
-    def rng_words(self) -> int:
-        return self.dimension + 1
 
     @property
     def sample_width(self) -> int:
@@ -766,7 +678,7 @@ class SoftSVM(ProblemInstance):
     def constants(self) -> ProblemConstants:
         # sigma_star_sq: ||a|| = 1, an upper bound used as the declared proxy
         return ProblemConstants(M_p=1.0, L=math.inf, mu_p=0.0, sigma_star_sq=1.0,
-                                s=2.0, mu_ps=0.0, lambda_sq=2.0)
+                                s=2.0, mu_ps=0.0)
 
 
 def _label_prob(m):

@@ -465,11 +465,12 @@ def batched_accelerated_run(
     epsilon: float,
     stream: SampleStream,
     x0,
-    radius: float | None = None,
+    radius: float,
 ) -> tuple[RunTrace, SampleStream]:
     """Accelerated two-sequence method driven by minibatch gradients.
 
-    Runs minibatch_sizes(...) = (N, r) for the target gap epsilon: N
+    Runs minibatch_sizes(c, radius, epsilon) = (N, r), with radius a bound
+    on ||x0 - x*|| supplied by the caller, for the target gap epsilon: N
     iterations, each on the mean gradient of r fresh samples; total samples
     N * r are recorded on the trace.
     """
@@ -485,11 +486,6 @@ def batched_accelerated_run(
     if not contains(set_, x):
         raise PreconditionError("x0 must lie in the feasible set")
 
-    if radius is None:
-        radius = float(np.linalg.norm(x - problem.x_star))
-        if radius == 0.0 and set_.is_bounded:
-            radius = set_.radius
-        radius = max(radius, 1e-8)
     n_iters, r = minibatch_sizes(c, radius, epsilon)
 
     gamma = 1.0 / (2.0 * c.L)  # the batched-oracle analysis runs A(2L, .)

@@ -228,8 +228,8 @@ class ErmResult:
     value: float
     iterations: int
     certified: bool
-    # certified: exact (closed form, 0 iterations) | strong_convexity | oracle
-    # | plateau | vacuous; uncertified: subgradient_plateau | budget_exhausted
+    # certified: exact (closed form, 0 iterations) | strong_convexity | plateau
+    # | vacuous; uncertified: subgradient_plateau | budget_exhausted
     certificate: str
 
 
@@ -256,9 +256,8 @@ def solve_erm(
     """Reach f_bar(x) - f_bar(x_hat) <= delta with a certificate.
 
     Smooth (or norm-power) objectives run a proximal gradient loop with
-    backtracking; strongly convex ones stop on the gradient-mapping bound,
-    the norm-power family stops against exact_erm's minimizer where it has
-    one, and the rest stop by plateau detection.  Other nonsmooth objectives
+    backtracking; strongly convex ones stop on the gradient-mapping bound
+    and the rest stop by plateau detection.  Other nonsmooth objectives
     run an averaged subgradient loop.  It stops once its average improves by
     less than delta/10 over 200 iterations, which at an O(1/sqrt(k)) rate
     says nothing about the distance to the optimum (on soft_svm with N = 40
@@ -278,7 +277,6 @@ def solve_erm(
     # bare norm-power objectives backtrack even where the declared L is
     # infinite (s < 2, or s > 2 on free space): their gradient is continuous
     norm_power = problem.family == "norm_power" and e.composite is None
-    oracle = exact_erm(e) if norm_power else None
 
     mu = e.strong_convexity()
     lip = e.smoothness()
@@ -302,13 +300,11 @@ def solve_erm(
                     break
                 gamma *= 0.5
             x, f_x = x_new, f_new
-            if oracle is not None and f_x - oracle.value <= target_delta:
-                return ErmResult(x, f_x, it, True, "oracle")
-            if oracle is None and mu > 0 and it % 10 == 0:
+            if mu > 0 and it % 10 == 0:
                 bound, x_plus = _prox_mapping_certificate(e, x, gamma, mu)
                 if bound <= target_delta:
                     return ErmResult(x_plus, e.value(x_plus), it, True, "strong_convexity")
-            if oracle is None and mu == 0 and it % plateau_window == 0:
+            if mu == 0 and it % plateau_window == 0:
                 if plateau_ref - f_x < target_delta / 10.0:
                     return ErmResult(x, f_x, it, True, "plateau")
                 plateau_ref = f_x
@@ -497,7 +493,8 @@ def regularized_pipeline(
 
     Adds (eps / (2 R^2)) ||x - c||_2^2 to the empirical objective (modulus
     mu = eps / R^2, centred at the ball centre c, or at the origin on the
-    simplex, where R = 1 bounds ||x||), solves it exactly where exact_erm
+    simplex, and R the set's max_distance from that centre: the radius, or 1
+    on the simplex), solves it exactly where exact_erm
     has a closed form and otherwise with solve_erm to the inner accuracy
     delta = eps^3 / (8 M^2 R^2), and returns that solution: a gap of at most
     eps/2 on the regularized problem is a gap of at most eps on the original,
@@ -506,12 +503,13 @@ def regularized_pipeline(
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
     set_ = problem.feasible_set
-    if not set_.is_bounded:
+    anchor = np.zeros(set_.dimension) if set_.center is None else set_.center
+    r2 = set_.max_distance(anchor)
+    if not math.isfinite(r2):
         raise NotApplicableError("regularization radius needs a bounded set")
     c = problem.constants()
     if not math.isfinite(c.M_p):
         raise NotApplicableError("pipeline needs a finite Lipschitz bound M_p")
-    r2 = set_.radius if set_.kind != "simplex" else 1.0
     mu, delta = tikhonov_parameters(epsilon, c.M_p, r2)
     emp, stream = build_empirical(problem, n, stream, HalfSqL2(mu, set_.center))
     result = exact_erm(emp) or solve_erm(emp, delta)

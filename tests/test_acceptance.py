@@ -248,7 +248,7 @@ def test_10_batched_accelerated_scaling():
     eps = 0.02
     out = {}
     for e in (eps, eps / 4):
-        trace, _ = batched_accelerated_run(p, e, p.stream(11), x0)
+        trace, _ = batched_accelerated_run(p, e, p.stream(11), x0, 1.0)
         gap = p.population_gap(trace.final_point)
         out[e] = (trace.iterations, trace.oracle_calls, gap)
     n1, t1, g1 = out[eps]

@@ -15,6 +15,7 @@ tables must be read somewhere in ``src/`` outside those tables and the
 """
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 import types
@@ -150,3 +151,14 @@ def test_every_config_key_is_read():
     unread = keys - read
     assert unread - set(KEEP_KEYS) == set(), "config keys nothing reads; delete them"
     assert set(KEEP_KEYS) - unread == set(), "KEEP_KEYS entries that are read or gone"
+
+
+def test_every_declared_constant_is_read():
+    # a ProblemConstants field that no solver, harness or benchmark reads is
+    # declared for nothing; the families' own constants() in problems.py do
+    # not count
+    fields = {f.name for f in dataclasses.fields(sastra.problems.ProblemConstants)}
+    read = {node.attr for path in SOURCES if path != ROOT / "src" / "sastra" / "problems.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    assert fields - read == set(), "declared constants nothing reads; delete them"

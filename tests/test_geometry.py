@@ -228,3 +228,43 @@ class TestRowDot:
         vector = row_dot(a[0, :n], b[0, :n])
         assert vector.shape == (1,)
         assert vector[0] == a[0, :n] @ b[0, :n]
+
+
+class TestMaxDistance:
+    """max_distance against brute force, on centred and off-centre sets."""
+
+    CENTRES = {"centred": None, "off_centre": [1.0, -2.0, 0.5, 0.0]}
+    POINTS = [np.zeros(4), np.array([0.3, 0.1, -1.2, 2.0]), np.array([1.0, -2.0, 0.5, 0.0])]
+
+    @pytest.mark.parametrize("where", CENTRES)
+    def test_l2_ball_is_attained(self, where):
+        s = FeasibleSet.l2_ball(4, 1.5, center=self.CENTRES[where])
+        for p in self.POINTS:
+            d = s.center - p
+            if not d.any():
+                assert s.max_distance(p) == s.radius
+                continue
+            farthest = s.center + s.radius * d / np.linalg.norm(d)
+            assert s.max_distance(p) == pytest.approx(np.linalg.norm(farthest - p), rel=1e-14)
+
+    @pytest.mark.parametrize("where", CENTRES)
+    def test_l1_ball_bounds_every_vertex(self, where):
+        s = FeasibleSet.l1_ball(4, 1.5, center=self.CENTRES[where])
+        vertices = s.center + s.radius * np.vstack([np.eye(4), -np.eye(4)])
+        for p in self.POINTS:
+            assert s.max_distance(p) >= np.max(np.linalg.norm(vertices - p, axis=1))
+
+    def test_simplex_is_its_farthest_vertex(self):
+        s = FeasibleSet.simplex(4)
+        for p in self.POINTS + [np.full(4, 0.25)]:
+            assert s.max_distance(p) == np.max(np.linalg.norm(np.eye(4) - p, axis=1))
+
+    def test_free_space_is_unbounded(self):
+        assert FeasibleSet.unconstrained(4).max_distance(self.POINTS[1]) == math.inf
+
+    @pytest.mark.parametrize("set_", ALL_SETS + [FeasibleSet.unconstrained(3)],
+                             ids=lambda s: s.kind)
+    def test_block_takes_the_largest_row(self, set_):
+        block = np.array([[0.0, 0.0, 0.0], [2.0, -1.0, 0.5], [0.1, 0.2, 0.7]])
+        assert set_.max_distance(block) == pytest.approx(
+            max(set_.max_distance(p) for p in block), rel=1e-15)

@@ -261,7 +261,6 @@ class TestConstants:
     def test_norm_power_constants(self):
         for s in (1.0, 2.0, 3.0):
             c = NormPower(s=s, sigma=0.7, dim=6).constants()
-            assert c.lambda_sq == pytest.approx(s * s * 0.49)
             assert c.mu_ps == 1.0
             assert c.s == s
             # R = 1 sets keep the unit-ball constants

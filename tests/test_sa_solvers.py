@@ -240,45 +240,46 @@ class TestBatchedAccelerated:
         # L = 1, R = 1, eps = 0.01 -> N = 10
         p = FiniteSumQuadratic(centers=[[1.0], [-1.0]])  # L = 1, sigma*^2 = 1
         assert p.constants().L == 1.0
-        trace, _ = batched_accelerated_run(p, 0.01, p.stream(3), [1.0])
+        trace, _ = batched_accelerated_run(p, 0.01, p.stream(3), [1.0], 1.0)
         assert trace.iterations == 10
 
     def test_batch_size_formula(self):
         # sigma^2 = 1, L = 1, eps = 0.1 -> N = sqrt(1/0.1) ~ 4, r = N/0.1
         p = FiniteSumQuadratic(centers=[[1.0], [-1.0]])
-        trace, _ = batched_accelerated_run(p, 0.1, p.stream(3), [1.0])
+        trace, _ = batched_accelerated_run(p, 0.1, p.stream(3), [1.0], 1.0)
         n = trace.iterations
         assert trace.oracle_calls == n * math.ceil(1.0 * n / (1.0 * 0.1))
 
     def test_zero_variance_degenerates_to_deterministic(self):
         p = FiniteSumQuadratic.interpolating([0.7, -0.3], n_terms=4)
-        a, _ = batched_accelerated_run(p, 1e-4, p.stream(1), [0.0, 0.0])
-        b, _ = batched_accelerated_run(p, 1e-4, p.stream(999), [0.0, 0.0])
+        radius = float(np.linalg.norm([0.7, -0.3]))  # ||x0 - x*||
+        a, _ = batched_accelerated_run(p, 1e-4, p.stream(1), [0.0, 0.0], radius)
+        b, _ = batched_accelerated_run(p, 1e-4, p.stream(999), [0.0, 0.0], radius)
         assert a.oracle_calls == a.iterations  # r = 1
         np.testing.assert_array_equal(a.final_point, b.final_point)
 
     def test_converges_to_target(self):
         p = GaussianMean(mean=[0.0, 0.0], sigma=0.1,
                          feasible_set=unconstrained(2))
-        trace, _ = batched_accelerated_run(p, 0.01, p.stream(5), [1.0, 0.0])
+        trace, _ = batched_accelerated_run(p, 0.01, p.stream(5), [1.0, 0.0], 1.0)
         assert p.population_gap(trace.final_point) <= 0.01
 
     def test_rejects_nonsmooth(self):
         p = SoftSVM(concept=[1.0, 0.0])
         with pytest.raises(NotApplicableError):
-            batched_accelerated_run(p, 0.1, p.stream(0), [0.0, 0.0])
+            batched_accelerated_run(p, 0.1, p.stream(0), [0.0, 0.0], 1.0)
 
     def test_rejects_simplex(self):
         p = GaussianMean(mean=[0.3, 0.3, 0.4], sigma=0.1,
                          feasible_set=FeasibleSet.simplex(3))
         with pytest.raises(NotApplicableError):
-            batched_accelerated_run(p, 0.1, p.stream(0), p.default_x0())
+            batched_accelerated_run(p, 0.1, p.stream(0), p.default_x0(), 1.0)
 
     @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
     def test_rejects_nonpositive_epsilon(self, epsilon):
         p = FiniteSumQuadratic(centers=[[1.0], [-1.0]])
         with pytest.raises(InputError, match="epsilon must be positive"):
-            batched_accelerated_run(p, epsilon, p.stream(3), [1.0])
+            batched_accelerated_run(p, epsilon, p.stream(3), [1.0], 1.0)
 
 
 class TestInterpolationRegime:
