@@ -648,25 +648,22 @@ class SoftSVM(ProblemInstance):
 
     def _minimize(self):
         """Minimizer over x = alpha c + gamma e in span(concept, center), with e
-        the unit direction of the center's part off the concept axis c.  The
-        minimum over each chord gamma = const is convex in gamma."""
+        the unit direction of the center's part off the concept axis c.  F is
+        convex in (alpha, gamma) and even in gamma, so nondecreasing in |gamma|:
+        the best point of each chord alpha = const is the one nearest the axis,
+        and the chord minimum is convex in alpha: one search over alpha."""
         set_, n, kappa = self.feasible_set, self.dimension, self._kappa
         alpha_c = float(self._axis @ set_.center)
         off = set_.center - alpha_c * self._axis
         gamma_c = float(np.linalg.norm(off))
+        off = off / gamma_c if gamma_c > 0.0 else off
 
-        def best_alpha(gamma):
-            half = math.sqrt(max(set_.radius**2 - (gamma - gamma_c) ** 2, 0.0))
-            return _argmin_convex(lambda a: _svm_objective(a, abs(gamma), kappa, n),
-                                  alpha_c - half, alpha_c + half)
+        def nearest_gamma(alpha):
+            return max(0.0, gamma_c - math.sqrt(max(set_.radius**2 - (alpha - alpha_c) ** 2, 0.0)))
 
-        gamma = 0.0
-        if gamma_c > 0.0:
-            gamma = _argmin_convex(lambda g: _svm_objective(best_alpha(g), abs(g), kappa, n),
-                                   gamma_c - set_.radius, gamma_c + set_.radius)
-            off = off / gamma_c
-        alpha = best_alpha(gamma)
-        return alpha * self._axis + gamma * off
+        alpha = _argmin_convex(lambda a: _svm_objective(a, nearest_gamma(a), kappa, n),
+                               alpha_c - set_.radius, alpha_c + set_.radius)
+        return alpha * self._axis + nearest_gamma(alpha) * off
 
     @property
     def x_star(self) -> np.ndarray:

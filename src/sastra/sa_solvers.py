@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    DegenerateInputError,
     InputError,
     NotApplicableError,
     PreconditionError,
@@ -63,7 +64,8 @@ class RunAborted(SastraError):
 
 @dataclass
 class ConstantHorizon:
-    """gamma_k = R / (M sqrt N): the fixed-horizon policy for convex runs."""
+    """gamma_k = R / (M sqrt N): the fixed-horizon policy for convex runs.  At M = 0
+    every sample gradient vanishes on the set, any step is exact: R / sqrt N."""
 
     R: float
     M: float
@@ -72,14 +74,14 @@ class ConstantHorizon:
     kind = "constant_horizon"
 
     def __post_init__(self):
-        if self.R <= 0 or self.M <= 0 or self.N < 1:
-            raise InputError("ConstantHorizon needs R > 0, M > 0, N >= 1")
+        if self.R <= 0 or self.M < 0 or self.N < 1:
+            raise InputError("ConstantHorizon needs R > 0, M >= 0, N >= 1")
 
     def fresh(self):
         return self
 
     def step(self, k: int, g) -> float:
-        return self.R / (self.M * math.sqrt(self.N))
+        return self.R / ((self.M or 1.0) * math.sqrt(self.N))
 
 
 @dataclass
@@ -103,7 +105,7 @@ class InverseStrong:
 
 @dataclass
 class Decreasing:
-    """gamma_k = R / (M sqrt k): horizon-free variant of the convex policy."""
+    """gamma_k = R / (M sqrt k), or R / sqrt k at M = 0: horizon-free ConstantHorizon."""
 
     R: float
     M: float
@@ -111,14 +113,14 @@ class Decreasing:
     kind = "decreasing"
 
     def __post_init__(self):
-        if self.R <= 0 or self.M <= 0:
-            raise InputError("Decreasing needs R > 0, M > 0")
+        if self.R <= 0 or self.M < 0:
+            raise InputError("Decreasing needs R > 0, M >= 0")
 
     def fresh(self):
         return self
 
     def step(self, k: int, g) -> float:
-        return self.R / (self.M * math.sqrt(k))
+        return self.R / ((self.M or 1.0) * math.sqrt(k))
 
 
 @dataclass
@@ -223,11 +225,12 @@ def sgd_run(
     strongly convex 1/(mu k) policy and the full average otherwise; both
     windows are on the trace.
 
-    A row whose start lies outside the set fails with PreconditionError; a
-    row found non-finite at a finiteness test (every _BLOCK_ROWS steps and at
-    the end) fails with RunAborted.  A block run records these in
-    ``trace.row_errors`` and carries the other rows on; a single-stream run
-    raises them.
+    A row whose start lies outside the set fails with PreconditionError, a
+    simplex start with a zero coordinate with DegenerateInputError (as in
+    mirror_step), and a row found non-finite at a finiteness test (every
+    _BLOCK_ROWS steps and at the end) with RunAborted.  A block run records
+    these in ``trace.row_errors`` and carries the other rows on; a
+    single-stream run raises them.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
@@ -240,6 +243,9 @@ def sgd_run(
     x = _start_block(problem, x0, rows)
     errors = [None if ok else PreconditionError("x0 must lie in the feasible set")
               for ok in contains(set_, x)]
+    if set_.kind == "simplex":  # an entropic step never moves a zero coordinate
+        for t in np.flatnonzero((x == 0.0).any(axis=1)):
+            errors[t] = errors[t] or DegenerateInputError("entropic step undefined: zero in x0")
     if single and errors[0] is not None:
         raise errors[0]
     tail_window = getattr(schedule, "kind", "") == "inverse_strong"

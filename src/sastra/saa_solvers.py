@@ -149,12 +149,10 @@ class EmpiricalObjective:
         return g + _composite_subgrad(self.composite, x)
 
     def smoothness(self) -> float:
-        """Uniform gradient Lipschitz bound of one term (inf if nonsmooth)."""
+        """Gradient Lipschitz bound of one term (inf if nonsmooth); L1 is left to the prox."""
         l_term = self.problem.constants().L
         if isinstance(self.composite, HalfSqL2):
             return l_term + self.composite.mu
-        if isinstance(self.composite, L1):
-            return math.inf
         return l_term
 
     def strong_convexity(self) -> float:
@@ -255,9 +253,9 @@ def solve_erm(
 ) -> ErmResult:
     """Reach f_bar(x) - f_bar(x_hat) <= delta with a certificate.
 
-    Smooth (or norm-power) objectives run a proximal gradient loop with
-    backtracking; strongly convex ones stop on the gradient-mapping bound
-    and the rest stop by plateau detection.  Other nonsmooth objectives
+    Smooth losses, with any composite, and bare norm-power ones run a
+    proximal gradient loop with backtracking; strongly convex ones stop on
+    the gradient-mapping bound and the rest stop by plateau detection.  Other nonsmooth objectives
     run an averaged subgradient loop.  It stops once its average improves by
     less than delta/10 over 200 iterations, which at an O(1/sqrt(k)) rate
     says nothing about the distance to the optimum (on soft_svm with N = 40
@@ -560,7 +558,6 @@ def vr_solve(
     target_delta: float,
     budget_epochs: int,
     stream: SampleStream,
-    x0=None,
 ) -> VrResult:
     """Epoch-based variance-reduced solver for smooth strongly convex sums.
 
@@ -578,16 +575,15 @@ def vr_solve(
     problem = e.problem
     lip = e.smoothness()
     mu = e.strong_convexity()
-    if not math.isfinite(lip):
-        raise NotApplicableError("vr_solve needs smooth terms")
+    if not math.isfinite(lip) or isinstance(e.composite, L1):  # no prox term in the step
+        raise NotApplicableError("vr_solve needs smooth terms and no L1 composite")
     if mu <= 0:
         raise NotApplicableError("vr_solve needs strong convexity (family or HalfSqL2)")
     set_ = problem.feasible_set
     n = e.n_terms
     epoch_len = max(n, math.ceil(8.0 * lip / mu))
     eta = 1.0 / (4.0 * lip)
-    x = problem._coerce_point(x0) if x0 is not None else problem.default_x0()
-    x = project(set_, x)
+    x = project(set_, problem.default_x0())
 
     term_evals = 0
     idx_counter = 0

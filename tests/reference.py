@@ -7,6 +7,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from sastra.errors import InputError
+from sastra.problems import _argmin_convex, _svm_objective
 from sastra.sliding import CallLedger, SlidingResult
 
 
@@ -78,6 +79,33 @@ def hinge_erm_value(emp) -> float:
     d = res.x[:dim] - set_.center
     x = set_.center + d / max(1.0, float(np.linalg.norm(d)) / set_.radius)
     return emp.value(x)
+
+
+def nested_svm_minimizer(problem) -> np.ndarray:
+    """soft_svm's population minimizer by a nested golden-section search:
+    over x = alpha c + gamma e in span(concept, center), with e the unit
+    direction of the center's part off the concept axis c, an outer search
+    over gamma whose every probe runs an inner search over alpha along the
+    chord gamma = const.  The minimum over each chord is convex in gamma.
+    About 2,000 quadrature calls off the axis."""
+    set_, n = problem.feasible_set, problem.dimension
+    axis, kappa = problem._axis, problem._kappa
+    alpha_c = float(axis @ set_.center)
+    off = set_.center - alpha_c * axis
+    gamma_c = float(np.linalg.norm(off))
+
+    def best_alpha(gamma):
+        half = math.sqrt(max(set_.radius**2 - (gamma - gamma_c) ** 2, 0.0))
+        return _argmin_convex(lambda a: _svm_objective(a, abs(gamma), kappa, n),
+                              alpha_c - half, alpha_c + half)
+
+    gamma = 0.0
+    if gamma_c > 0.0:
+        gamma = _argmin_convex(lambda g: _svm_objective(best_alpha(g), abs(g), kappa, n),
+                               gamma_c - set_.radius, gamma_c + set_.radius)
+        off = off / gamma_c
+    alpha = best_alpha(gamma)
+    return alpha * axis + gamma * off
 
 
 def read_report(path) -> tuple[list[str], list[list[str]]]:

@@ -8,6 +8,11 @@ equal to the name (``bench/spans.py`` patches functions by name); imports
 and ``__all__`` itself do not count.  Methods are matched by attribute name
 alone, so a method shares references with every method of the same name.
 
+A defaulted parameter of a public module-level function follows it too:
+some call in ``src/`` or ``bench/`` must pass it, by keyword or by position,
+or it carries an entry in ``KEEP_DEFAULTS``; a parameter nothing passes is a
+knob with one value in use.  Calls are matched by function name alone.
+
 Config keys follow the same rule: every key of ``cli``'s three schema
 tables must be read somewhere in ``src/`` outside those tables and the
 ``_RANGES`` table, which only validate it, or carry an entry in
@@ -41,6 +46,17 @@ KEEP_KEYS = {
     "pool_seed": "accepted for old configs, ignored",
 }
 _SCHEMA_TABLES = ("_PROBLEM_KEYS", "_SOLVER_KEYS", "_EXPERIMENT_KEYS")
+
+# module.function.parameter -> why it keeps a default nothing in src/ or
+# bench/ overrides
+KEEP_DEFAULTS = {
+    "sa_solvers.sgd_run.record_gaps": "ROADMAP item 9 makes it the one-pass curve engine",
+    "sa_solvers.restart_stage_plan.multiplier":
+        "bench/spans.py keeps restart_stage_plan; ROADMAP item 7 deletes it",
+    "saa_solvers.solve_erm.budget": "tests cap the iterations",
+    "sliding.inner_solve.tol_override": "a test solves the inner model to 1e-22",
+    "sliding.sliding_run.probe": "a test runs the smoothness probe inside sliding",
+}
 
 
 def _references():
@@ -162,3 +178,45 @@ def test_every_declared_constant_is_read():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute)}
     assert fields - read == set(), "declared constants nothing reads; delete them"
+
+
+def _calls():
+    """function name -> every call of a function or method of that name."""
+    calls = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, position, param) -> bool:
+    """Whether the call gives param a value: by keyword, by **mapping, or by
+    position (any *sequence counts)."""
+    if any(k.arg in (param.name, None) for k in call.keywords):
+        return True
+    return param.kind is not param.KEYWORD_ONLY and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_default_is_passed():
+    calls = _calls()
+    unpassed = set()
+    for module in MODULES:
+        short = module.__name__.rsplit(".", 1)[-1]
+        for name, func in vars(module).items():
+            if (name.startswith("_") or not inspect.isfunction(func)
+                    or func.__module__ != module.__name__):
+                continue
+            params = inspect.signature(func).parameters.values()
+            for position, param in enumerate(params):
+                if param.default is not param.empty and not any(
+                        _passes(call, position, param) for call in calls.get(name, [])):
+                    unpassed.add(f"{short}.{name}.{param.name}")
+    assert unpassed - set(KEEP_DEFAULTS) == set(), (
+        "defaulted parameters nothing in src/ or bench/ passes; delete them, or "
+        "add each to KEEP_DEFAULTS with the reason it stays"
+    )
+    assert set(KEEP_DEFAULTS) - unpassed == set(), "KEEP_DEFAULTS entries that are passed or gone"

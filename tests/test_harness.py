@@ -157,11 +157,14 @@ _SETS = {
 }
 
 
+_SGD_SCHEDULES = ("constant", "decreasing", "inverse_strong", "adagrad")
+
+
 def _batching_cases():
     # every schedule on every set it applies to (constant and decreasing
     # steps need a finite M_p, which free space does not give), then the
     # families whose subgradients take row-wise dot products, and restarts
-    for schedule in ("constant", "decreasing", "inverse_strong", "adagrad"):
+    for schedule in _SGD_SCHEDULES:
         for name, set_ in _SETS.items():
             if name == "free" and schedule in ("constant", "decreasing"):
                 continue
@@ -231,6 +234,44 @@ class TestLockstepTrials:
         (single,) = run_trials(solver, problem, n, 1, 703)
         assert [r.failed for r in block] == [t == 4 for t in range(1, 9)]
         assert block[3].diagnostic == single.diagnostic == f"RunAborted: {alone}"
+
+
+class TestSimplexStart:
+    """Entropic steps keep a zero coordinate at zero, so a run started at a
+    simplex vertex would report the vertex's gap; it fails instead."""
+
+    PROBLEM = GaussianMean(mean=[0.2, 0.3, 0.5], sigma=1.0, feasible_set=_SETS["simplex"])
+
+    @pytest.mark.parametrize("solver", [RestartSolver()] + [
+        SgdSolver(schedule=k, start="boundary") for k in _SGD_SCHEDULES], ids=lambda s: s.id)
+    def test_vertex_start_fails_every_trial(self, solver):
+        results = run_trials(solver, self.PROBLEM, 2000, 5, 60)
+        assert all(r.failed for r in results)
+        assert {r.diagnostic for r in results} == {
+            "DegenerateInputError: entropic step undefined: zero in x0"}
+
+    @pytest.mark.parametrize("solver", [RestartSolver(start="center")] + [
+        SgdSolver(schedule=k, start="center") for k in _SGD_SCHEDULES], ids=lambda s: s.id)
+    def test_centre_start_moves(self, solver):
+        vertex_gap = self.PROBLEM.population_gap([1.0, 0.0, 0.0])
+        results = run_trials(solver, self.PROBLEM, 2000, 5, 60)
+        assert not any(r.failed for r in results)
+        assert max(r.gap for r in results) < 0.2 * vertex_gap
+
+
+class TestZeroLipschitzBound:
+    """Every centre at the one point of the n = 1 simplex: every sample
+    gradient vanishes on the set, the declared M_p is 0, and any step is
+    exact."""
+
+    PROBLEM = FiniteSumQuadratic(np.ones((4, 1)), feasible_set=FeasibleSet.simplex(1))
+
+    @pytest.mark.parametrize("solver", [RestartSolver()] + [
+        SgdSolver(schedule=k) for k in _SGD_SCHEDULES], ids=lambda s: s.id)
+    def test_every_trial_succeeds_at_gap_zero(self, solver):
+        assert self.PROBLEM.constants().M_p == 0.0
+        results = run_trials(solver, self.PROBLEM, 100, 4, 80)
+        assert [(r.failed, r.gap) for r in results] == [(False, 0.0)] * 4
 
 
 class _IterativeCalled(Exception):

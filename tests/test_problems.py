@@ -21,6 +21,8 @@ from sastra.problems import (
 )
 from sastra import problems
 
+from reference import nested_svm_minimizer
+
 
 def unconstrained(n):
     return FeasibleSet.unconstrained(n)
@@ -470,15 +472,19 @@ class TestConstruction:
 SVM_CASES = [(n, ball) for n in (1, 2, 3, 10) for ball in ("centred", "off_centre")]
 
 
-@functools.lru_cache(maxsize=None)
-def _svm_problem(n, ball):
+def _svm_args(n, ball):
+    """(concept, feasible set) of an SVM_CASES problem; None is the unit ball."""
     rng = np.random.default_rng(100 + n)
     concept = rng.normal(size=n)
     concept *= 1.7 / np.linalg.norm(concept)
     if ball == "centred":
-        return SoftSVM(concept=concept)
-    set_ = FeasibleSet.l2_ball(n, 1.6, center=0.5 * rng.normal(size=n))
-    return SoftSVM(concept=concept, feasible_set=set_)
+        return concept, None
+    return concept, FeasibleSet.l2_ball(n, 1.6, center=0.5 * rng.normal(size=n))
+
+
+@functools.lru_cache(maxsize=None)
+def _svm_problem(n, ball):
+    return SoftSVM(*_svm_args(n, ball))
 
 
 def _random_feasible(set_, rng, scale=1.0):
@@ -538,3 +544,42 @@ class TestSoftSvmReference:
         for _ in range(100):
             y = _random_feasible(p.feasible_set, rng, scale=rng.uniform(0.0, 1.5))
             assert f_star <= p.population_value(y) + 1e-12
+
+
+class TestSoftSvmMinimizer:
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_off_centre_build_is_one_search(self, n, monkeypatch):
+        # one golden section over alpha: the nested search took 2,127 calls
+        calls = []
+        objective = problems._svm_objective
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return objective(*args, **kwargs)
+
+        monkeypatch.setattr(problems, "_svm_objective", counting)
+        SoftSVM(*_svm_args(n, "off_centre"))
+        assert len(calls) <= 60
+
+    def test_objective_nondecreasing_off_axis(self):
+        # F is convex and even in beta, so nondecreasing in beta >= 0: the
+        # fact that puts each chord's minimum at the point nearest the axis
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.choice([2, 3, 4, 5, 10]))
+            alpha, kappa = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 3.0)
+            lo, hi = np.sort(rng.uniform(0.0, 2.0, size=2))
+            f_lo = problems._svm_objective(alpha, lo, kappa, n)
+            f_hi = problems._svm_objective(alpha, hi, kappa, n)
+            assert f_lo <= f_hi + 1e-12, (n, alpha, kappa, lo, hi)
+
+    @pytest.mark.parametrize("n,ball", SVM_CASES)
+    def test_agrees_with_nested_search(self, n, ball):
+        p = _svm_problem(n, ball)
+        ref = nested_svm_minimizer(p)
+        if ball == "centred":
+            # on the concept axis the search is the nested one's inner search
+            assert p.x_star.tobytes() == ref.tobytes()
+        else:
+            assert p.population_value(p.x_star) <= p.population_value(ref) + 1e-12
+            assert np.linalg.norm(p.x_star - ref) <= 1e-6

@@ -139,6 +139,20 @@ class TestSolveErm:
         assert res.certified
         assert res.certificate == "strong_convexity"
 
+    def test_l1_composite_takes_the_prox_loop(self):
+        # (1/N) sum ||x - xi||^2 + lam ||x||_1 is minimized by soft-thresholding
+        # the sample mean at lam/2; the subgradient loop ran out of budget
+        # 6.5e-6 away from it
+        p = GaussianMean(mean=[1.0, -0.8, 0.05], sigma=1.0, feasible_set=unconstrained(3))
+        emp, _ = build_empirical(p, 50, p.stream(4), L1(0.4))
+        mean = emp.samples.mean(axis=0)
+        closed = np.sign(mean) * np.maximum(np.abs(mean) - 0.2, 0.0)
+        assert (closed == 0.0).any() and (closed != 0.0).any()
+        res = solve_erm(emp, 1e-10)
+        assert res.certified and res.certificate == "strong_convexity"
+        np.testing.assert_allclose(res.point, closed, rtol=0, atol=1e-12)
+        assert res.value <= emp.value(closed) + 1e-15
+
     def test_uncertified_on_tiny_budget(self):
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
         emp, _ = build_empirical(p, 50, p.stream(2))
@@ -413,6 +427,13 @@ class TestVrSolve:
         p = SoftSVM(concept=[1.0, 0.0])
         emp, _ = build_empirical(p, 10, p.stream(1), HalfSqL2(1.0))
         with pytest.raises(NotApplicableError):
+            vr_solve(emp, 1e-6, 10, p.stream(2))
+
+    def test_rejects_l1_composite(self):
+        # the control-variate step has no prox term to take the l1 term
+        p = GaussianMean(mean=[1.0, -0.8], sigma=1.0, feasible_set=unconstrained(2))
+        emp, _ = build_empirical(p, 10, p.stream(1), L1(0.4))
+        with pytest.raises(NotApplicableError, match="L1"):
             vr_solve(emp, 1e-6, 10, p.stream(2))
 
     def test_rejects_merely_convex(self):
