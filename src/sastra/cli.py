@@ -389,8 +389,8 @@ def builtin_verify():
         p = GaussianMean(mean=[0.3], sigma=1.0,
                          feasible_set=FeasibleSet.unconstrained(1))
         rows, _ = p.stream(5).draw_block(2000)
-        trace, _ = sgd_run(p, InverseStrong(2.0), 2000, p.stream(5), [0.0])
-        if abs(trace.final_point[0] - rows.mean()) > 1e-12:
+        trace, _ = sgd_run(p, InverseStrong(2.0), 2000, [p.stream(5)], [0.0])
+        if abs(trace.final_point[0, 0] - rows.mean()) > 1e-12:
             raise AssertionError("iterate drifted from the sample mean")
 
     def vr_identity():

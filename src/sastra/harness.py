@@ -2,9 +2,9 @@
 
 Trials run on one thread, seeded base+1..base+T, so a run depends only on
 its config and seed, and trial streams never overlap.  run_trials hands a
-solver all T streams of a probe at once.  The online solvers (sgd, restart)
-advance them in lockstep as one (T, n) block of iterates through
-sa_solvers.sgd_run; the offline ones solve trial after trial.  Either way
+solver all T streams of a probe at once.  The online solvers (sgd, restart,
+batched_accel) advance them in lockstep as one (T, n) block of iterates in
+one sa_solvers call; the offline ones solve trial after trial.  Either way
 trial t equals, bit for bit, a one-trial run at seed base+t, failures
 included.  A trial's wall_ms is its block's wall time divided by T.
 
@@ -295,8 +295,9 @@ class BatchedAccelSolver:
         c = problem.constants()
         x0 = _start_point(problem, self.start)
         radius = max(float(np.linalg.norm(x0 - problem.x_star)), 1e-8)
-        # invert total samples N(eps) * r(eps) <= n over the formula pair
-        lo, hi = 1e-12, c.L * radius**2
+        # invert total samples N(eps) * r(eps) <= n over the formula pair; the
+        # top of the bracket gives N = r = 1, which fits any budget
+        lo, hi = 1e-12, max(c.L * radius**2, c.sigma_star_sq / c.L)
         for _ in range(80):
             mid = math.sqrt(lo * hi)
             n_iters, r = minibatch_sizes(c, radius, mid)
@@ -304,8 +305,8 @@ class BatchedAccelSolver:
                 hi = mid
             else:
                 lo = mid
-        return _each_stream(streams, lambda stream: batched_accelerated_run(
-            problem, hi, stream, x0, radius=radius)[0].averaged_point)
+        trace, _ = batched_accelerated_run(problem, hi, list(streams), x0, radius)
+        return _row_outcomes(trace)
 
 
 # ---------------------------------------------------------------------------

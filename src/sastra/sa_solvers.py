@@ -5,11 +5,12 @@ run is a pure function of (problem, schedule, seed, x0).  Averages are kept
 as running sums over two windows: the full iterate sequence x^1..x^N and its
 tail half, which avoids storing trajectories on long runs.
 
-sgd_run and the restart runs built on it advance T trials in lockstep: given
-a list of T streams they step a (T, n) block of iterates, one row per
-stream, with row-wise oracles and projections.  Sample i of a stream is a
-pure function of (seed, i), so row t of a block run equals, bit for bit, a
-run on stream t alone; a single stream is the T = 1 case of the same loop.
+Every solver takes a list of T streams and advances them in lockstep: it
+steps a (T, n) block of iterates, one row per stream, with row-wise oracles
+and projections, and returns a trace of (T, n) blocks.  Sample i of a stream
+is a pure function of (seed, i), so row t of a block run equals, bit for
+bit, a run on stream t alone.  A row that fails records its error on the
+trace and the other rows carry on.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     SastraError,
 )
 from .geometry import contains, make_mirror_stepper, project, row_dot
-from .problems import ProblemInstance, SampleStream
+from .problems import ProblemInstance
 
 __all__ = [
     "ConstantHorizon",
@@ -164,7 +165,7 @@ class AdaGrad:
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
-    """Outcome of one solver run.
+    """Outcome of one solver run on T streams, one row per stream.
 
     iterations      number of update steps N
     final_point     x^{N+1}
@@ -172,11 +173,10 @@ class RunTrace:
     average_tail    mean of the last ceil(N/2) pre-update iterates
     averaged_point  the window the solver's policy selected
     oracle_calls    stochastic-gradient evaluations consumed (per trial)
-    gap_checkpoints optional ((k, gap), ...) at log-spaced iterations
-    row_errors      per row of a block run: None, or the error that failed it
+    gap_checkpoints optional T tuples ((k, gap), ...) at log-spaced iterations
+    row_errors      per row: None, or the error that failed it
 
-    A block run of T trials holds (T, n) points, T checkpoint tuples and T
-    row errors; a run on a single stream holds one (n,) point each.
+    Every point is a (T, n) block.
     """
 
     iterations: int
@@ -211,43 +211,31 @@ def sgd_run(
 ):
     """Run x^{k+1} = mirror_step(Q, x^k, grad f(x^k, xi^k), gamma_k), k = 1..N.
 
-    ``streams`` is one SampleStream, or a list of T streams advanced in
-    lockstep as a (T, n) block of iterates, row t drawing from stream t.
-    x0 is one start point (n,) for every row, or a (T, n) block.  Each step
-    is one Python iteration for all rows: the T samples of step k are drawn
-    side by side (at most _BLOCK_ROWS samples per draw), and the subgradient,
-    the schedule and the mirror step act row by row, so row t equals a run
-    on stream t alone, bit for bit.
+    ``streams`` is a list of T SampleStreams advanced in lockstep as a (T, n)
+    block of iterates, row t drawing from stream t.  x0 is one start point
+    (n,) for every row, or a (T, n) block.  Each step is one Python
+    iteration for all rows: the T samples of step k are drawn side by side
+    (at most _BLOCK_ROWS samples per draw), and the subgradient, the
+    schedule and the mirror step act row by row, so row t equals a run on
+    stream t alone, bit for bit.
 
     Averages the pre-update iterates x^1..x^N.  Consumes exactly n_steps
-    samples from each stream and returns the advanced stream(s) alongside
+    samples from each stream and returns the advanced streams alongside
     the trace.  The averaged point is the tail-half average under the
     strongly convex 1/(mu k) policy and the full average otherwise; both
     windows are on the trace.
 
-    A row whose start lies outside the set fails with PreconditionError, a
-    simplex start with a zero coordinate with DegenerateInputError (as in
-    mirror_step), and a row found non-finite at a finiteness test (every
-    _BLOCK_ROWS steps and at the end) with RunAborted.  A block run records
-    these in ``trace.row_errors`` and carries the other rows on; a
-    single-stream run raises them.
+    A row whose start _start_block rejects, or found non-finite at a
+    finiteness test (every _BLOCK_ROWS steps and at the end) with
+    RunAborted, records the error in ``trace.row_errors``; the other rows
+    carry on.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
-    single = not isinstance(streams, (list, tuple))
-    streams = [streams] if single else list(streams)
+    streams = list(streams)
     rows = len(streams)
-    if rows < 1:
-        raise InputError("sgd_run needs at least one stream")
     set_ = problem.feasible_set
-    x = _start_block(problem, x0, rows)
-    errors = [None if ok else PreconditionError("x0 must lie in the feasible set")
-              for ok in contains(set_, x)]
-    if set_.kind == "simplex":  # an entropic step never moves a zero coordinate
-        for t in np.flatnonzero((x == 0.0).any(axis=1)):
-            errors[t] = errors[t] or DegenerateInputError("entropic step undefined: zero in x0")
-    if single and errors[0] is not None:
-        raise errors[0]
+    x, errors = _start_block(problem, x0, rows)
     tail_window = getattr(schedule, "kind", "") == "inverse_strong"
 
     schedule = schedule.fresh()
@@ -288,19 +276,10 @@ def sgd_run(
             x = stepper(x, g, gamma)
         if k % _BLOCK_ROWS == 0 or k == n_steps:
             for t in np.flatnonzero(~np.isfinite(x).all(axis=1)):
-                if errors[t] is None:
-                    errors[t] = RunAborted(f"non-finite iterate at step {k}")
-            if single and errors[0] is not None:
-                raise errors[0]
+                errors[t] = errors[t] or RunAborted(f"non-finite iterate at step {k}")
 
     avg_full = sum_full / n_steps
     avg_tail = sum_tail / ((n_steps + 1) // 2)
-    if single:
-        x, avg_full, avg_tail = x[0], avg_full[0], avg_tail[0]
-        streams = streams[0]
-        checkpoints = checkpoints[0] if record_gaps else None
-    elif record_gaps:
-        checkpoints = [tuple(row) for row in checkpoints]
     trace = RunTrace(
         iterations=n_steps,
         final_point=x,
@@ -308,22 +287,34 @@ def sgd_run(
         average_tail=avg_tail,
         averaged_point=avg_tail if tail_window else avg_full,
         oracle_calls=n_steps,
-        gap_checkpoints=tuple(checkpoints) if checkpoints is not None else None,
+        gap_checkpoints=tuple(map(tuple, checkpoints)) if record_gaps else None,
         row_errors=tuple(errors),
     )
     return trace, streams
 
 
-def _start_block(problem: ProblemInstance, x0, rows: int) -> np.ndarray:
-    """x0 as a new C-ordered (rows, n) block: one start point repeated, or a
-    block as given.  C order keeps each row contiguous, so row-wise dot
+def _start_block(problem: ProblemInstance, x0, rows: int):
+    """x0 as a new C-ordered (rows, n) block, one start point repeated or a
+    block as given, and each row's start error: None, PreconditionError for
+    a start outside the set, or DegenerateInputError for a simplex start
+    with a zero coordinate, which an entropic step never moves (as in
+    mirror_step).  C order keeps each row contiguous, so row-wise dot
     products take the same path in a block as on a single vector."""
+    if rows < 1:
+        raise InputError("a run needs at least one stream")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim < 2:
         x0 = problem._coerce_point(x0)
     elif x0.shape != (rows, problem.dimension):
         raise InputError(f"start block has shape {x0.shape}, expected ({rows}, {problem.dimension})")
-    return np.array(np.broadcast_to(x0, (rows, problem.dimension)), order="C")
+    x = np.array(np.broadcast_to(x0, (rows, problem.dimension)), order="C")
+    set_ = problem.feasible_set
+    errors = [None if ok else PreconditionError("x0 must lie in the feasible set")
+              for ok in contains(set_, x)]
+    if set_.kind == "simplex":
+        for t in np.flatnonzero((x == 0.0).any(axis=1)):
+            errors[t] = errors[t] or DegenerateInputError("entropic step undefined: zero in x0")
+    return x, errors
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +368,7 @@ def restarted_budget_run(
     total_budget: int,
     beta: float,
     R1: float,
-    stream,
+    streams,
     x0,
     multiplier: float = 1.0,
 ):
@@ -391,8 +382,9 @@ def restarted_budget_run(
     then spends the remainder on a partial run of the next stage.  A partial
     stage keeps its planned horizon in the stepsize (the schedule's gamma,
     merely truncated), so small budgets probe the planned stage rather than a
-    differently-tuned shorter one.  ``stream`` is one stream or a list of
-    T, as in sgd_run; the plan is computed once for all rows.
+    differently-tuned shorter one.  ``streams`` is a list of T streams, as in
+    sgd_run; the plan is computed once for all rows, and a row keeps the
+    first error any stage records for it.
     """
     if total_budget < 1:
         raise InputError("total_budget must be >= 1")
@@ -414,39 +406,18 @@ def restarted_budget_run(
         leftover = total_budget - sum(fitting)
         if leftover >= _N_MIN:
             stage_runs.append((min(leftover, plan[best]), plan[best]))
-    return _run_stages(problem, stage_runs, R1, stream, x0)
 
-
-def _run_stages(problem, stage_runs, R1, stream, x0):
-    """The stages in order, each an sgd_run from the last one's tail average.
-
-    On a block, a row keeps the first error any stage records for it.
-    """
-    c = problem.constants()
-    s = c.s
-    x = x0
-    radius = R1
-    total = 0
-    trace = errors = None
+    x, radius, errors = x0, R1, ()
     for steps, horizon in stage_runs:
         schedule = ConstantHorizon(R=radius, M=c.M_p, N=horizon)
-        trace, stream = sgd_run(problem, schedule, steps, stream, x)
-        errors = trace.row_errors if errors is None else tuple(
-            first or now for first, now in zip(errors, trace.row_errors))
+        trace, streams = sgd_run(problem, schedule, steps, streams, x)
+        errors = tuple(first or now for first, now in zip(errors or trace.row_errors,
+                                                          trace.row_errors))
         x = trace.average_tail
-        total += steps
-        radius *= 2.0 ** (-1.0 / s)
-    final = RunTrace(
-        iterations=total,
-        final_point=trace.final_point,
-        average_full=trace.average_full,
-        average_tail=trace.average_tail,
-        averaged_point=trace.average_tail,
-        oracle_calls=total,
-        gap_checkpoints=None,
-        row_errors=errors,
-    )
-    return final, stream
+        radius *= 2.0 ** (-1.0 / c.s)
+    total = sum(steps for steps, _ in stage_runs)
+    return replace(trace, iterations=total, averaged_point=trace.average_tail,
+                   oracle_calls=total, gap_checkpoints=None, row_errors=errors), streams
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +430,10 @@ def minibatch_sizes(c, radius: float, epsilon: float) -> tuple[int, int]:
 
     N = ceil(sqrt(L R^2 / eps)) iterations and batches of
     r = ceil(sigma^2 N / (L eps)), the alpha = 2, zeta = 1 scaling of
-    accelerated schemes.
+    accelerated schemes.  The method needs a finite L.
     """
+    if not math.isfinite(c.L):
+        raise NotApplicableError("batched acceleration needs a smooth problem")
     n_iters = max(1, math.ceil(math.sqrt(c.L * radius**2 / epsilon)))
     r = max(1, math.ceil(c.sigma_star_sq * n_iters / (c.L * epsilon)))
     return n_iters, r
@@ -469,33 +442,35 @@ def minibatch_sizes(c, radius: float, epsilon: float) -> tuple[int, int]:
 def batched_accelerated_run(
     problem: ProblemInstance,
     epsilon: float,
-    stream: SampleStream,
+    streams,
     x0,
     radius: float,
-) -> tuple[RunTrace, SampleStream]:
+):
     """Accelerated two-sequence method driven by minibatch gradients.
 
     Runs minibatch_sizes(c, radius, epsilon) = (N, r), with radius a bound
     on ||x0 - x*|| supplied by the caller, for the target gap epsilon: N
     iterations, each on the mean gradient of r fresh samples; total samples
-    N * r are recorded on the trace.
+    N * r are recorded on the trace.  ``streams`` and x0 are as in sgd_run:
+    each iteration draws r samples per stream, takes each row's gradient
+    from the family's batch_subgrad_mean, and moves all rows with one
+    projection and one momentum step.  A row with a start _start_block
+    rejects, or with a non-finite gradient (RunAborted), records the error
+    in ``trace.row_errors``.
     """
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
     c = problem.constants()
-    if not math.isfinite(c.L):
-        raise NotApplicableError("batched acceleration needs a smooth problem")
+    n_iters, r = minibatch_sizes(c, radius, epsilon)
     set_ = problem.feasible_set
     if set_.kind == "simplex":
         raise NotApplicableError("batched acceleration runs on balls or free space")
-    x = problem._coerce_point(x0)
-    if not contains(set_, x):
-        raise PreconditionError("x0 must lie in the feasible set")
-
-    n_iters, r = minibatch_sizes(c, radius, epsilon)
+    streams = list(streams)
+    x, errors = _start_block(problem, x0, len(streams))
 
     gamma = 1.0 / (2.0 * c.L)  # the batched-oracle analysis runs A(2L, .)
     y = x.copy()
+    g = np.empty_like(x)
     t = 1.0
     sum_full = np.zeros_like(x)
     sum_tail = np.zeros_like(x)
@@ -504,10 +479,11 @@ def batched_accelerated_run(
         sum_full += x
         if k >= tail_from:
             sum_tail += x
-        rows, stream = stream.draw_block(r)
-        g = problem.batch_subgrad_mean(y, rows)
-        if not np.all(np.isfinite(g)):
-            raise RunAborted(f"non-finite batched gradient at iteration {k}")
+        for row, stream in enumerate(streams):
+            batch, streams[row] = stream.draw_block(r)
+            g[row] = problem.batch_subgrad_mean(y[row], batch)
+        for row in np.flatnonzero(~np.isfinite(g).all(axis=1)):
+            errors[row] = errors[row] or RunAborted(f"non-finite batched gradient at iteration {k}")
         x_new = project(set_, y - gamma * g)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)
@@ -522,5 +498,6 @@ def batched_accelerated_run(
         averaged_point=x,
         oracle_calls=n_iters * r,
         gap_checkpoints=None,
+        row_errors=tuple(errors),
     )
-    return trace, stream
+    return trace, streams

@@ -253,10 +253,11 @@ def solve_erm(
 ) -> ErmResult:
     """Reach f_bar(x) - f_bar(x_hat) <= delta with a certificate.
 
-    Smooth losses, with any composite, and bare norm-power ones run a
-    proximal gradient loop with backtracking; strongly convex ones stop on
-    the gradient-mapping bound and the rest stop by plateau detection.  Other nonsmooth objectives
-    run an averaged subgradient loop.  It stops once its average improves by
+    Smooth losses, and norm-power ones with s > 1, run a proximal gradient
+    loop with backtracking under any composite, as does bare norm power at
+    s = 1; strongly convex ones stop on the gradient-mapping bound and the
+    rest stop by plateau detection.  Other nonsmooth objectives run an
+    averaged subgradient loop.  It stops once its average improves by
     less than delta/10 over 200 iterations, which at an O(1/sqrt(k)) rate
     says nothing about the distance to the optimum (on soft_svm with N = 40
     it stops up to 15 delta above it), so that stop is uncertified:
@@ -272,9 +273,10 @@ def solve_erm(
     if math.isinf(target_delta):
         return ErmResult(x, e.value(x), 0, True, "vacuous")
 
-    # bare norm-power objectives backtrack even where the declared L is
-    # infinite (s < 2, or s > 2 on free space): their gradient is continuous
-    norm_power = problem.family == "norm_power" and e.composite is None
+    # norm-power objectives backtrack even where the declared L is infinite
+    # (s < 2, or s > 2 on free space): for s > 1 their gradient is
+    # continuous, under any composite; s = 1 backtracks only when bare
+    norm_power = problem.family == "norm_power" and (e.composite is None or problem.s > 1)
 
     mu = e.strong_convexity()
     lip = e.smoothness()

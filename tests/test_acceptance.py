@@ -63,8 +63,8 @@ def test_01_sample_mean_identity():
                      feasible_set=FeasibleSet.unconstrained(1))
     n = 10_000
     rows, _ = p.stream(31).draw_block(n)
-    trace, _ = sgd_run(p, InverseStrong(2.0), n, p.stream(31), [0.0])
-    err = abs(trace.final_point[0] - rows.mean())
+    trace, _ = sgd_run(p, InverseStrong(2.0), n, [p.stream(31)], [0.0])
+    err = abs(trace.final_point[0, 0] - rows.mean())
     verdict("01 sample-mean identity", err <= 1e-12,
             f"|x_N+1 - mean| = {err:.2e} <= 1e-12, {time.perf_counter()-t0:.1f}s")
 
@@ -198,8 +198,8 @@ def test_08_interpolation_linear_rate():
     dists = [float(np.linalg.norm(x - p.x_star) ** 2)]
     worst_factor = 0.0
     for _ in range(120):
-        trace, stream = sgd_run(p, schedule, 1, stream, x)
-        x = trace.final_point
+        trace, (stream,) = sgd_run(p, schedule, 1, [stream], x)
+        x = trace.final_point[0]
         d = float(np.linalg.norm(x - p.x_star) ** 2)
         if dists[-1] > 1e-20:
             worst_factor = max(worst_factor, d / dists[-1])
@@ -248,8 +248,8 @@ def test_10_batched_accelerated_scaling():
     eps = 0.02
     out = {}
     for e in (eps, eps / 4):
-        trace, _ = batched_accelerated_run(p, e, p.stream(11), x0, 1.0)
-        gap = p.population_gap(trace.final_point)
+        trace, _ = batched_accelerated_run(p, e, [p.stream(11)], x0, 1.0)
+        gap = p.population_gap(trace.final_point[0])
         out[e] = (trace.iterations, trace.oracle_calls, gap)
     n1, t1, g1 = out[eps]
     n2, t2, g2 = out[eps / 4]

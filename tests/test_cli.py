@@ -3,6 +3,9 @@ import os
 import pytest
 
 from sastra.cli import (
+    _ALGORITHMS,
+    _FAMILIES,
+    _SETS,
     ExperimentConfig,
     build_problem,
     build_solver,
@@ -10,7 +13,8 @@ from sastra.cli import (
     main,
     parse_config,
 )
-from sastra.errors import ConfigError
+from sastra.errors import ConfigError, SastraError
+from sastra.harness import run_trials
 from reference import read_report
 
 MINIMAL = """
@@ -168,6 +172,50 @@ class TestBuilders:
                 "algorithm = sgd", f"algorithm = {algo}").replace("n = 100", "n = 100\nepsilons = 0.1")
             solver = build_solver(parse_config(text))
             assert hasattr(solver, "run")
+
+
+MATRIX = """
+[problem]
+family = {family}
+dimension = 3
+set = {set}
+
+[solver]
+algorithm = {algorithm}
+start = {start}
+
+[experiment]
+mode = single-run
+epsilons = 0.1
+n = 20
+trials = 1
+"""
+
+
+class TestConfigMatrix:
+    """Every algorithm on every family and set kind, from the config text to
+    one trial: a config either fails to build with a sastra error or runs,
+    its trial failing at most; no other exception escapes."""
+
+    @pytest.mark.parametrize("algorithm, start", [
+        (algorithm, start) for algorithm in _ALGORITHMS
+        for start in (("center", "boundary") if algorithm in ("sgd", "restart", "batched_accel")
+                      else ("center",))])
+    def test_builds_or_fails_cleanly(self, algorithm, start):
+        escaped = []
+        for family in _FAMILIES:
+            for set_ in _SETS:
+                config = MATRIX.format(family=family, set=set_, algorithm=algorithm, start=start)
+                try:
+                    cfg = parse_config(config)
+                    problem, solver = build_problem(cfg), build_solver(cfg)
+                except SastraError:
+                    continue
+                try:
+                    run_trials(solver, problem, 20, 1, 0, epsilon=0.1)
+                except Exception as exc:  # noqa: BLE001 - collect every escape
+                    escaped.append(f"{family}/{set_}: {type(exc).__name__}: {exc}")
+        assert escaped == []
 
 
 class TestDispatch:

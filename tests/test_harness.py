@@ -7,7 +7,9 @@ import pytest
 from sastra.errors import DegenerateInputError, InputError
 from sastra.geometry import FeasibleSet
 from sastra import saa_solvers as saa
+from sastra import harness
 from sastra.harness import (
+    BatchedAccelSolver,
     CurvePoint,
     ErmSolver,
     RegularizedErmSolver,
@@ -179,6 +181,19 @@ def _batching_cases():
                        id="sgd[decreasing]-ridge-l1")
     yield pytest.param(RestartSolver(), NormPower(s=2.0, sigma=1.0, dim=5), 2000,
                        id="restart-norm_power-l2")
+    # minibatch acceleration: every ball kind, both starts, ridge's gemv
+    # gradients on odd-length rows and the norm-power row norms
+    for start, name in (("center", "l2"), ("boundary", "l2_off_centre"), ("boundary", "free")):
+        problem = GaussianMean(mean=[0.2, 0.3, 0.5], sigma=1.0, feasible_set=_SETS[name])
+        yield pytest.param(BatchedAccelSolver(start=start), problem, 2000,
+                           id=f"batched_accel[{start}]-gaussian_mean-{name}")
+    for start, name in (("center", "l1"), ("boundary", "l2_off_centre")):
+        problem = RidgeRegression(coefficients=[0.3, -0.2, 0.1], sigma=1.0,
+                                  feasible_set=_SETS[name])
+        yield pytest.param(BatchedAccelSolver(start=start), problem, 2000,
+                           id=f"batched_accel[{start}]-ridge-{name}")
+    yield pytest.param(BatchedAccelSolver(start="boundary"), NormPower(s=3.0, sigma=0.5, dim=4),
+                       800, id="batched_accel[boundary]-norm_power_s3-l2")
     # offline: exact ERM, free-space least squares and the secular equation
     for name, n in (("free", 30), ("l2_off_centre", 5)):
         yield pytest.param(ErmSolver(),
@@ -214,7 +229,8 @@ class TestLockstepTrials:
         (SgdSolver(schedule="inverse_strong"),
          GaussianMean(mean=[0.2, 0.3, 0.5], sigma=1.0, feasible_set=_SETS["l2"]), 300),
         (RestartSolver(), NormPower(s=2.0, sigma=1.0, dim=5), 2000),
-    ], ids=["sgd", "restart"])
+        (BatchedAccelSolver(start="boundary"), NormPower(s=2.0, sigma=1.0, dim=5), 2000),
+    ], ids=["sgd", "restart", "batched_accel"])
     def test_non_finite_row_fails_alone(self, solver, problem, n, monkeypatch):
         streams = [problem.stream(700 + t) for t in range(1, 9)]
         streams[3] = SampleStream(_NanSamples(problem), 704)
@@ -234,6 +250,36 @@ class TestLockstepTrials:
         (single,) = run_trials(solver, problem, n, 1, 703)
         assert [r.failed for r in block] == [t == 4 for t in range(1, 9)]
         assert block[3].diagnostic == single.diagnostic == f"RunAborted: {alone}"
+
+
+class TestBatchedAccelSizing:
+    """The (N, r) search fits every sample budget and runs from any start."""
+
+    @pytest.mark.parametrize("problem", [
+        NormPower(s=2.0, sigma=1.0, dim=10),
+        GaussianMean(mean=[0.0, 0.0, 0.0], sigma=1.0, feasible_set=_SETS["l2"]),
+    ], ids=["norm_power", "gaussian_mean"])
+    @pytest.mark.parametrize("start", ["center", "boundary"])
+    def test_every_row_within_budget(self, problem, start, monkeypatch):
+        # the centre start of both problems is x*
+        oracle_calls = []
+        run = harness.batched_accelerated_run
+
+        def recording(*args, **kwargs):
+            trace, streams = run(*args, **kwargs)
+            oracle_calls.append(trace.oracle_calls)
+            return trace, streams
+
+        monkeypatch.setattr(harness, "batched_accelerated_run", recording)
+        for n in range(1, 65):
+            results = run_trials(BatchedAccelSolver(start=start), problem, n, 2, 40)
+            assert not any(r.failed for r in results)
+            assert oracle_calls.pop() <= n
+
+    def test_nonsmooth_problem_fails_every_trial(self):
+        results = run_trials(BatchedAccelSolver(), SoftSVM(concept=[1.5, 0.0]), 100, 3, 0)
+        assert [r.diagnostic for r in results] == [
+            "NotApplicableError: batched acceleration needs a smooth problem"] * 3
 
 
 class TestSimplexStart:

@@ -70,50 +70,50 @@ class TestSgdRun:
         # x0 = 0, samples (2, 4) -> final iterate 3
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
         stream = FakeStream(np.array([[2.0], [4.0]]))
-        trace, _ = sgd_run(p, InverseStrong(2.0), 2, stream, [0.0])
-        assert trace.final_point[0] == pytest.approx(3.0, abs=1e-15)
+        trace, _ = sgd_run(p, InverseStrong(2.0), 2, [stream], [0.0])
+        assert trace.final_point[0, 0] == pytest.approx(3.0, abs=1e-15)
 
     def test_running_mean_identity_long(self):
         p = GaussianMean(mean=[0.4], sigma=1.0, feasible_set=unconstrained(1))
         rows, _ = p.stream(3).draw_block(5000)
-        trace, _ = sgd_run(p, InverseStrong(2.0), 5000, p.stream(3), [0.0])
-        assert abs(trace.final_point[0] - rows.mean()) <= 1e-12
+        trace, _ = sgd_run(p, InverseStrong(2.0), 5000, [p.stream(3)], [0.0])
+        assert abs(trace.final_point[0, 0] - rows.mean()) <= 1e-12
 
     def test_zero_gradients_keep_x0(self):
         p = FiniteSumQuadratic.interpolating([1.5, -0.5], n_terms=4)
-        trace, _ = sgd_run(p, ConstantHorizon(1.0, 1.0, 8), 8, p.stream(1),
+        trace, _ = sgd_run(p, ConstantHorizon(1.0, 1.0, 8), 8, [p.stream(1)],
                            [1.5, -0.5])
-        np.testing.assert_array_equal(trace.average_full, [1.5, -0.5])
-        np.testing.assert_array_equal(trace.final_point, [1.5, -0.5])
+        np.testing.assert_array_equal(trace.average_full[0], [1.5, -0.5])
+        np.testing.assert_array_equal(trace.final_point[0], [1.5, -0.5])
 
     def test_projection_active_single_step(self):
         # gradient (-20, 0) at the origin with gamma = 0.1 lands on the boundary
         p = GaussianMean(mean=[0.0, 0.0], sigma=1.0,
                          feasible_set=FeasibleSet.l2_ball(2, 1.0))
         stream = FakeStream(np.array([[10.0, 0.0]]))
-        trace, _ = sgd_run(p, ConstantHorizon(R=0.1, M=1.0, N=1), 1, stream, [0.0, 0.0])
-        np.testing.assert_allclose(trace.final_point, [1.0, 0.0], atol=1e-14)
+        trace, _ = sgd_run(p, ConstantHorizon(R=0.1, M=1.0, N=1), 1, [stream], [0.0, 0.0])
+        np.testing.assert_allclose(trace.final_point[0], [1.0, 0.0], atol=1e-14)
 
     def test_average_windows(self):
         # with gamma = 0.5 the squared-loss step maps x to the sample, so
         # feeding 2,3,4,5 walks the iterates 1,2,3,4
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
         stream = FakeStream(np.array([[2.0], [3.0], [4.0], [5.0]]))
-        trace, _ = sgd_run(p, ConstantHorizon(R=0.5, M=1.0, N=1), 4, stream, [1.0])
-        assert trace.average_full[0] == pytest.approx(2.5)
-        assert trace.average_tail[0] == pytest.approx(3.5)
+        trace, _ = sgd_run(p, ConstantHorizon(R=0.5, M=1.0, N=1), 4, [stream], [1.0])
+        assert trace.average_full[0, 0] == pytest.approx(2.5)
+        assert trace.average_tail[0, 0] == pytest.approx(3.5)
         three, _ = sgd_run(
             p, ConstantHorizon(R=0.5, M=1.0, N=1), 3,
-            FakeStream(np.array([[2.0], [3.0], [4.0]])), [1.0],
+            [FakeStream(np.array([[2.0], [3.0], [4.0]]))], [1.0],
         )
-        assert three.average_full[0] == pytest.approx(2.0)
-        assert three.average_tail[0] == pytest.approx(2.5)
+        assert three.average_full[0, 0] == pytest.approx(2.0)
+        assert three.average_tail[0, 0] == pytest.approx(2.5)
 
     def test_constant_iterates_average(self):
         p = FiniteSumQuadratic.interpolating([2.0], n_terms=3)
-        trace, _ = sgd_run(p, ConstantHorizon(1.0, 1.0, 5), 5, p.stream(0), [2.0])
-        assert trace.average_full[0] == 2.0
-        assert trace.average_tail[0] == 2.0
+        trace, _ = sgd_run(p, ConstantHorizon(1.0, 1.0, 5), 5, [p.stream(0)], [2.0])
+        assert trace.average_full[0, 0] == 2.0
+        assert trace.average_tail[0, 0] == 2.0
 
     def test_default_window_rule(self):
         # tail-half under the 1/(mu k) policy, the full window otherwise
@@ -124,13 +124,13 @@ class TestSgdRun:
             (AdaGrad(R=1.0), "average_full"),
             (InverseStrong(1.0), "average_tail"),
         ):
-            trace, _ = sgd_run(p, schedule, 2, p.stream(0), [2.0])
+            trace, _ = sgd_run(p, schedule, 2, [p.stream(0)], [2.0])
             assert trace.averaged_point is getattr(trace, chosen)
 
     def test_determinism_bitwise(self):
         p = NormPower(s=2.0, sigma=1.0, dim=3)
-        a, _ = sgd_run(p, Decreasing(1.0, 2.0), 500, p.stream(8), p.default_x0())
-        b, _ = sgd_run(p, Decreasing(1.0, 2.0), 500, p.stream(8), p.default_x0())
+        a, _ = sgd_run(p, Decreasing(1.0, 2.0), 500, [p.stream(8)], p.default_x0())
+        b, _ = sgd_run(p, Decreasing(1.0, 2.0), 500, [p.stream(8)], p.default_x0())
         np.testing.assert_array_equal(a.final_point, b.final_point)
         np.testing.assert_array_equal(a.average_full, b.average_full)
         np.testing.assert_array_equal(a.average_tail, b.average_tail)
@@ -140,37 +140,41 @@ class TestSgdRun:
                      FeasibleSet.simplex(3)):
             p = GaussianMean(mean=[0.3, 0.3, 0.4], sigma=1.0, feasible_set=set_)
             x0 = p.default_x0()
-            trace, _ = sgd_run(p, Decreasing(0.5, 2.0), 2000, p.stream(5), x0)
-            assert contains(set_, trace.final_point, 1e-10)
-            assert contains(set_, trace.average_full, 1e-10)
-            assert contains(set_, trace.average_tail, 1e-10)
+            trace, _ = sgd_run(p, Decreasing(0.5, 2.0), 2000, [p.stream(5)], x0)
+            assert contains(set_, trace.final_point[0], 1e-10)
+            assert contains(set_, trace.average_full[0], 1e-10)
+            assert contains(set_, trace.average_tail[0], 1e-10)
 
     def test_oracle_calls_exact(self):
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
-        trace, stream = sgd_run(p, InverseStrong(2.0), 137, p.stream(2), [0.0])
+        trace, (stream,) = sgd_run(p, InverseStrong(2.0), 137, [p.stream(2)], [0.0])
         assert trace.oracle_calls == 137
         assert stream.counter == 137
 
     def test_infeasible_start_rejected(self):
         p = NormPower(s=2.0, sigma=1.0, dim=2)
-        with pytest.raises(PreconditionError):
-            sgd_run(p, InverseStrong(2.0), 5, p.stream(0), [2.0, 0.0])
+        trace, _ = sgd_run(p, InverseStrong(2.0), 5, [p.stream(0)], [2.0, 0.0])
+        (error,) = trace.row_errors
+        assert type(error) is PreconditionError
+        assert str(error) == "x0 must lie in the feasible set"
 
     def test_non_finite_gradient_aborts(self):
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
         stream = FakeStream(np.array([[np.nan]] * 4))
-        with pytest.raises(RunAborted):
-            sgd_run(p, InverseStrong(2.0), 4, stream, [0.0])
+        trace, _ = sgd_run(p, InverseStrong(2.0), 4, [stream], [0.0])
+        (error,) = trace.row_errors
+        assert type(error) is RunAborted
+        assert str(error) == "non-finite iterate at step 4"
 
     def test_gap_checkpoints_decimated(self):
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
-        trace, _ = sgd_run(p, InverseStrong(2.0), 3000, p.stream(1), [0.0],
+        trace, _ = sgd_run(p, InverseStrong(2.0), 3000, [p.stream(1)], [0.0],
                            record_gaps=True)
-        assert trace.gap_checkpoints is not None
-        assert 1 <= len(trace.gap_checkpoints) <= 512
-        ks = [k for k, _ in trace.gap_checkpoints]
+        (checkpoints,) = trace.gap_checkpoints
+        assert 1 <= len(checkpoints) <= 512
+        ks = [k for k, _ in checkpoints]
         assert ks == sorted(set(ks))
-        assert all(g >= 0 for _, g in trace.gap_checkpoints)
+        assert all(g >= 0 for _, g in checkpoints)
 
 
 class TestRestarts:
@@ -193,13 +197,13 @@ class TestRestarts:
     def test_growth_required(self):
         p = SoftSVM(concept=[1.0, 0.0])
         with pytest.raises(NotApplicableError):
-            restarted_budget_run(p, 1000, 0.3, 1.0, p.stream(1), np.array([0.0, 0.0]))
+            restarted_budget_run(p, 1000, 0.3, 1.0, [p.stream(1)], np.array([0.0, 0.0]))
 
     def test_budget_consumed_within_limit(self):
         p = NormPower(s=2.0, sigma=1.0, dim=4)
         for budget in (10, 100, 1000):
             trace, _ = restarted_budget_run(
-                p, budget, 0.3, 1.0, p.stream(4), np.array([1.0, 0, 0, 0])
+                p, budget, 0.3, 1.0, [p.stream(4)], np.array([1.0, 0, 0, 0])
             )
             assert trace.oracle_calls <= budget
 
@@ -207,8 +211,8 @@ class TestRestarts:
         p = NormPower(s=2.0, sigma=0.5, dim=4)
         x0 = np.array([1.0, 0, 0, 0])
         plan = restart_stage_plan(p, 0.01, 0.3, 1.0)
-        trace, _ = restarted_budget_run(p, sum(plan), 0.3, 1.0, p.stream(9), x0)
-        assert p.population_gap(trace.averaged_point) < p.population_gap(x0)
+        trace, _ = restarted_budget_run(p, sum(plan), 0.3, 1.0, [p.stream(9)], x0)
+        assert p.population_gap(trace.averaged_point[0]) < p.population_gap(x0)
 
 
 class TestMinibatchGradient:
@@ -240,46 +244,46 @@ class TestBatchedAccelerated:
         # L = 1, R = 1, eps = 0.01 -> N = 10
         p = FiniteSumQuadratic(centers=[[1.0], [-1.0]])  # L = 1, sigma*^2 = 1
         assert p.constants().L == 1.0
-        trace, _ = batched_accelerated_run(p, 0.01, p.stream(3), [1.0], 1.0)
+        trace, _ = batched_accelerated_run(p, 0.01, [p.stream(3)], [1.0], 1.0)
         assert trace.iterations == 10
 
     def test_batch_size_formula(self):
         # sigma^2 = 1, L = 1, eps = 0.1 -> N = sqrt(1/0.1) ~ 4, r = N/0.1
         p = FiniteSumQuadratic(centers=[[1.0], [-1.0]])
-        trace, _ = batched_accelerated_run(p, 0.1, p.stream(3), [1.0], 1.0)
+        trace, _ = batched_accelerated_run(p, 0.1, [p.stream(3)], [1.0], 1.0)
         n = trace.iterations
         assert trace.oracle_calls == n * math.ceil(1.0 * n / (1.0 * 0.1))
 
     def test_zero_variance_degenerates_to_deterministic(self):
         p = FiniteSumQuadratic.interpolating([0.7, -0.3], n_terms=4)
         radius = float(np.linalg.norm([0.7, -0.3]))  # ||x0 - x*||
-        a, _ = batched_accelerated_run(p, 1e-4, p.stream(1), [0.0, 0.0], radius)
-        b, _ = batched_accelerated_run(p, 1e-4, p.stream(999), [0.0, 0.0], radius)
+        a, _ = batched_accelerated_run(p, 1e-4, [p.stream(1)], [0.0, 0.0], radius)
+        b, _ = batched_accelerated_run(p, 1e-4, [p.stream(999)], [0.0, 0.0], radius)
         assert a.oracle_calls == a.iterations  # r = 1
         np.testing.assert_array_equal(a.final_point, b.final_point)
 
     def test_converges_to_target(self):
         p = GaussianMean(mean=[0.0, 0.0], sigma=0.1,
                          feasible_set=unconstrained(2))
-        trace, _ = batched_accelerated_run(p, 0.01, p.stream(5), [1.0, 0.0], 1.0)
-        assert p.population_gap(trace.final_point) <= 0.01
+        trace, _ = batched_accelerated_run(p, 0.01, [p.stream(5)], [1.0, 0.0], 1.0)
+        assert p.population_gap(trace.final_point[0]) <= 0.01
 
     def test_rejects_nonsmooth(self):
         p = SoftSVM(concept=[1.0, 0.0])
         with pytest.raises(NotApplicableError):
-            batched_accelerated_run(p, 0.1, p.stream(0), [0.0, 0.0], 1.0)
+            batched_accelerated_run(p, 0.1, [p.stream(0)], [0.0, 0.0], 1.0)
 
     def test_rejects_simplex(self):
         p = GaussianMean(mean=[0.3, 0.3, 0.4], sigma=0.1,
                          feasible_set=FeasibleSet.simplex(3))
         with pytest.raises(NotApplicableError):
-            batched_accelerated_run(p, 0.1, p.stream(0), p.default_x0(), 1.0)
+            batched_accelerated_run(p, 0.1, [p.stream(0)], p.default_x0(), 1.0)
 
     @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
     def test_rejects_nonpositive_epsilon(self, epsilon):
         p = FiniteSumQuadratic(centers=[[1.0], [-1.0]])
         with pytest.raises(InputError, match="epsilon must be positive"):
-            batched_accelerated_run(p, epsilon, p.stream(3), [1.0], 1.0)
+            batched_accelerated_run(p, epsilon, [p.stream(3)], [1.0], 1.0)
 
 
 class TestInterpolationRegime:
@@ -295,9 +299,9 @@ class TestInterpolationRegime:
         bound = (1.0 - gamma * c.mu_p) + 0.02
         stream = p.stream(3)
         for _ in range(60):
-            trace, stream = sgd_run(p, schedule, 1, stream, x)
+            trace, (stream,) = sgd_run(p, schedule, 1, [stream], x)
             d_old = np.linalg.norm(x - p.x_star) ** 2
-            x = trace.final_point
+            x = trace.final_point[0]
             d_new = np.linalg.norm(x - p.x_star) ** 2
             if d_old > 1e-24:
                 assert d_new <= bound * d_old + 1e-30

@@ -153,6 +153,16 @@ class TestSolveErm:
         np.testing.assert_allclose(res.point, closed, rtol=0, atol=1e-12)
         assert res.value <= emp.value(closed) + 1e-15
 
+    @pytest.mark.parametrize("s", [1.5, 1.25])
+    def test_norm_power_under_tikhonov_takes_the_prox_loop(self, s):
+        # ||x||^s has a continuous gradient for s > 1, so the strongly convex
+        # regularized objective is certified; the subgradient loop stopped
+        # uncertified after 1,000 (s = 1.5) and 5,000 (s = 1.25) iterations
+        p = NormPower(s=s, sigma=1.0, dim=5, feasible_set=FeasibleSet.l2_ball(5, 1.0))
+        res, _ = regularized_pipeline(p, 0.1, 200, p.stream(3))
+        assert res.certified and res.certificate == "strong_convexity"
+        assert res.iterations == 10
+
     def test_uncertified_on_tiny_budget(self):
         p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
         emp, _ = build_empirical(p, 50, p.stream(2))
