@@ -5,7 +5,8 @@ sections: [problem], [solver], [experiment].  [solver] names the algorithm
 and, where the algorithm has one, its schedule, restart multiplier and start
 point; every other solver parameter follows from the problem, the target
 epsilon and [experiment] beta.  Parsing validates every key and reports all
-problems at once; an unknown key is an error naming that key.
+problems at once; an unknown key is an error naming that key, and so is a
+[problem] key that the built problem would not read.
 The `sastra` entry point exposes one subcommand per experiment mode plus a
 built-in invariant suite; `--strict` turns flagged results (saturated
 searches, failed trials) into a nonzero exit status.
@@ -50,6 +51,15 @@ _PROBLEM_KEYS = {
     "pool_size": ("int", 1_000_000),
     "pool_seed": ("int", 2024),
     "seed": ("int", 0),
+}
+# [problem] keys that only some families read; any other family rejects them
+_FAMILY_KEYS = {
+    "gaussian_mean": ("sigma", "x_star"),
+    "ridge": ("sigma", "x_star"),
+    "lasso": ("sigma", "x_star"),
+    "soft_svm": ("x_star",),
+    "norm_power": ("sigma", "s"),
+    "finite_sum_quadratic": ("x_star", "n_terms", "spread", "scales"),
 }
 _SOLVER_KEYS = {
     "algorithm": ("str", None),
@@ -131,7 +141,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if section not in cp:
             errors.append(f"missing required section [{section}]")
 
-    out = {}
+    out, given = {}, {}
     for section, schema in specs.items():
         values = {}
         if section in cp:
@@ -142,6 +152,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 v = _parse_value(schema[key][0], raw, f"[{section}] {key}", errors)
                 if v is not None:
                     values[key] = v
+        given[section] = set(values)
         for key, (_tag, default) in schema.items():
             if key not in values and default is not None:
                 values[key] = default
@@ -158,6 +169,14 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("[problem]: dimension must be >= 1")
     if "set" in p and p["set"] not in _SETS:
         errors.append(f"[problem]: unknown set {p['set']!r}")
+    # a key the built problem would not read is an error, not a silent default
+    for key in sorted(given["problem"] & {"radius", "center"}):
+        if p.get("set") not in ("l2_ball", "l1_ball"):
+            errors.append(f"[problem]: {key} needs set = l2_ball or l1_ball")
+    if p.get("family") in _FAMILY_KEYS:
+        read = set(_FAMILY_KEYS[p["family"]])
+        for key in sorted(given["problem"] & set().union(*_FAMILY_KEYS.values()) - read):
+            errors.append(f"[problem]: family {p['family']} does not read {key}")
 
     if "algorithm" not in s:
         errors.append("[solver]: algorithm is required")

@@ -9,8 +9,10 @@ trial t equals, bit for bit, a one-trial run at seed base+t, failures
 included.  A trial's wall_ms is its block's wall time divided by T.
 
 Sample complexity N(eps, beta) is located by doubling followed by geometric
-bisection, each probe on its own disjoint seed block.  Rate exponents come
-from least squares in log-log space.
+bisection.  Every probe of a search and every point of a curve runs the same
+trials (common random numbers): trial t draws from seed base+t throughout, so
+its data at N is a prefix of its data at 2N.  Rate exponents come from least
+squares in log-log space.
 """
 
 from __future__ import annotations
@@ -404,19 +406,15 @@ def find_sample_complexity(
 
     Doubles N from n_start until the criterion holds (saturating at max_n),
     then bisects the bracketing doubling interval geometrically until
-    hi <= _RESOLUTION * lo.  Probe i draws seeds from its own disjoint block
-    base_seed + i * trials + 1 .. + trials.
+    hi <= _RESOLUTION * lo.  Every probe runs the same trials, seeds
+    base_seed + 1 .. base_seed + trials, so probes differ only in N.
     """
     if epsilon <= 0 or not 0 < beta < 1:
         raise InputError("need epsilon > 0 and beta in (0, 1)")
     probes = []
-    probe_idx = 0
 
     def succeeds(n: int) -> bool:
-        nonlocal probe_idx
-        seed = base_seed + probe_idx * trials
-        probe_idx += 1
-        results = run_trials(solver, problem, n, trials, seed, epsilon=epsilon)
+        results = run_trials(solver, problem, n, trials, base_seed, epsilon=epsilon)
         k = sum(1 for r in results if not r.failed and r.gap <= epsilon)
         probes.append((n, k, trials))
         return k / trials >= 1.0 - beta
@@ -455,21 +453,20 @@ def measure_curve(
 
     Each tighter epsilon starts its doubling search at the previous measured
     N, which both warm-starts the probes and makes the curve monotone by
-    construction.
+    construction.  Every point runs the same trials, seeds base_seed + 1 ..
+    base_seed + trials.
     """
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
     points = []
     n_start = 1
-    block = 0
     for eps in eps_sorted:
         res = find_sample_complexity(
             solver, problem, eps, beta, trials=trials, max_n=max_n,
-            base_seed=base_seed + block * 1_000_000, n_start=n_start,
+            base_seed=base_seed, n_start=n_start,
         )
         k_at = next((k for (n, k, t) in reversed(res.probes) if n == res.n), 0)
         points.append(CurvePoint(eps, beta, res.n, trials, k_at, res.saturated))
         n_start = res.n
-        block += 1
     return SampleComplexityCurve(tuple(points))
 
 

@@ -607,7 +607,9 @@ class SoftSVM(ProblemInstance):
         if self.feasible_set.kind != "l2_ball":
             raise InputError("soft_svm is defined over an l2 ball")
         self._kappa = float(np.linalg.norm(self.concept))
-        self._axis = self.concept / self._kappa if self._kappa > 0 else np.eye(n)[0]
+        if self._kappa == 0:
+            raise InputError("soft_svm needs a nonzero concept (x_star)")
+        self._axis = self.concept / self._kappa
         self._x_star = self._minimize()
         self._f_star = self.population_value(self._x_star)
 
@@ -710,7 +712,7 @@ def _gauss_legendre(m: int):
 
 def _svm_objective(alpha, beta, kappa, n, nodes=_SVM_NODES) -> float:
     """soft_svm F(x) from alpha = <x, c>, beta = ||x - alpha c||, c the unit
-    concept direction (any axis if kappa = ||concept|| = 0).  With u = <c, a>,
+    concept direction and kappa = ||concept||.  With u = <c, a>,
     of density rho_n prop. to (1 - u^2)^((n-3)/2), and v = beta sqrt(1 - u^2),
     F = int rho_n [p(kappa u) H(1 - alpha u, v) + (1 - p(kappa u)) H(1 + alpha u, v)] du.
     Graded Gauss-Legendre in arcsin u on pieces split at u = +-1/kappa (kinks),

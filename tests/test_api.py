@@ -13,6 +13,12 @@ some call in ``src/`` or ``bench/`` must pass it, by keyword or by position,
 or it carries an entry in ``KEEP_DEFAULTS``; a parameter nothing passes is a
 knob with one value in use.  Calls are matched by function name alone.
 
+A field of an exported dataclass follows it as well: some constructor call
+or ``replace`` in ``src/`` or ``bench/`` must pass it, or ``src/`` must
+assign it (``x.field = ...`` anywhere, or ``object.__setattr__(self,
+"field", ...)`` inside the class), or it carries an entry in ``KEEP_FIELDS``.
+Constructor calls are matched by class name alone.
+
 Config keys follow the same rule: every key of ``cli``'s three schema
 tables must be read somewhere in ``src/`` outside those tables and the
 ``_RANGES`` table, which only validate it, or carry an entry in
@@ -44,6 +50,11 @@ KEEP = {
 KEEP_KEYS = {
     "pool_size": "accepted for old configs, ignored",
     "pool_seed": "accepted for old configs, ignored",
+}
+# class.field -> why it keeps a default nothing in src/ or bench/ overrides
+KEEP_FIELDS = {
+    "RestartSolver.radius": "test_04 pins R1; ROADMAP item 6 takes radii from the set or config",
+    "SlidingParams.inner_budget": "a test caps the inner iterations",
 }
 _SCHEMA_TABLES = ("_PROBLEM_KEYS", "_SOLVER_KEYS", "_EXPERIMENT_KEYS")
 
@@ -220,3 +231,45 @@ def test_every_default_is_passed():
         "add each to KEEP_DEFAULTS with the reason it stays"
     )
     assert set(KEEP_DEFAULTS) - unpassed == set(), "KEEP_DEFAULTS entries that are passed or gone"
+
+
+def _assigned_fields() -> tuple[set, dict]:
+    """Attributes src/ assigns as x.field = ..., and class name -> fields its
+    own body sets with object.__setattr__(self, "field", ...)."""
+    anywhere, by_class = set(), {}
+    for path in sorted((ROOT / "src" / "sastra").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                anywhere.update(t.attr for t in targets if isinstance(t, ast.Attribute))
+            elif isinstance(node, ast.ClassDef):
+                by_class.setdefault(node.name, set()).update(
+                    call.args[1].value for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", None) == "__setattr__"
+                    and len(call.args) == 3 and isinstance(call.args[1], ast.Constant))
+    return anywhere, by_class
+
+
+def test_every_field_is_passed():
+    calls = _calls()
+    anywhere, by_class = _assigned_fields()
+    anywhere |= {k.arg for call in calls.get("replace", []) for k in call.keywords}
+    unpassed = set()
+    for module in MODULES:
+        for name in module.__all__:
+            cls = getattr(module, name)
+            if not (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                continue
+            assigned = anywhere | by_class.get(name, set())
+            params = inspect.signature(cls).parameters.values()
+            for position, param in enumerate(params):
+                if param.name not in assigned and not any(
+                        _passes(call, position, param) for call in calls.get(name, [])):
+                    unpassed.add(f"{name}.{param.name}")
+    assert unpassed - set(KEEP_FIELDS) == set(), (
+        "dataclass fields nothing in src/ or bench/ passes or assigns; delete "
+        "them, or add each to KEEP_FIELDS with the reason it stays"
+    )
+    assert set(KEEP_FIELDS) - unpassed == set(), "KEEP_FIELDS entries that are passed or gone"

@@ -149,6 +149,34 @@ mode = dance
             parse_config(text)
         assert f"[{section}] {key}: {value!r} is not finite" in err.value.errors
 
+    @pytest.mark.parametrize("family, extra, error", [
+        ("norm_power", "radius = 2.0", "radius needs set = l2_ball or l1_ball"),
+        ("gaussian_mean", "center = 5, 5, 5", "center needs set = l2_ball or l1_ball"),
+        ("gaussian_mean", "set = simplex\nradius = 2.0", "radius needs set = l2_ball or l1_ball"),
+        ("norm_power", "x_star = 0.5, 0, 0", "family norm_power does not read x_star"),
+        ("ridge", "s = 3.0", "family ridge does not read s"),
+        ("soft_svm", "x_star = 1, 0, 0\nsigma = 0.5", "family soft_svm does not read sigma"),
+        ("finite_sum_quadratic", "sigma = 0.5", "family finite_sum_quadratic does not read sigma"),
+        ("gaussian_mean", "n_terms = 4", "family gaussian_mean does not read n_terms"),
+        ("norm_power", "spread = 2.0", "family norm_power does not read spread"),
+        ("ridge", "scales = 1, 2, 4", "family ridge does not read scales"),
+    ])
+    def test_unread_problem_keys_rejected(self, family, extra, error):
+        # each was accepted and silently dropped: the built problem differed
+        # from the config text
+        text = MINIMAL.format(out="r.csv").replace(
+            "family = gaussian_mean\ndimension = 1", f"family = {family}\ndimension = 3\n{extra}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [f"[problem]: {error}"]
+
+    def test_ball_keys_accepted_with_a_ball(self):
+        text = MINIMAL.format(out="r.csv").replace(
+            "dimension = 1", "dimension = 3\nset = l1_ball\nradius = 2.0\ncenter = 0.5, 0, 0")
+        set_ = build_problem(parse_config(text)).feasible_set
+        assert set_.radius == 2.0 and list(set_.center) == [0.5, 0.0, 0.0]
+
+
 class TestBuilders:
     def test_build_each_family(self):
         for family, extra in [
@@ -179,6 +207,7 @@ MATRIX = """
 family = {family}
 dimension = 3
 set = {set}
+{extra}
 
 [solver]
 algorithm = {algorithm}
@@ -205,7 +234,10 @@ class TestConfigMatrix:
         escaped = []
         for family in _FAMILIES:
             for set_ in _SETS:
-                config = MATRIX.format(family=family, set=set_, algorithm=algorithm, start=start)
+                # soft_svm needs a nonzero concept
+                extra = "x_star = 1.5, 0, 0" if family == "soft_svm" else ""
+                config = MATRIX.format(family=family, set=set_, extra=extra,
+                                       algorithm=algorithm, start=start)
                 try:
                     cfg = parse_config(config)
                     problem, solver = build_problem(cfg), build_solver(cfg)
@@ -337,6 +369,14 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "nope" in err
+
+    def test_soft_svm_without_concept(self, tmp_path, capsys):
+        # the all-zero default concept graded every trial with gap 0
+        cfg_path = tmp_path / "svm.ini"
+        cfg_path.write_text(MINIMAL.format(out=tmp_path / "o.csv").replace(
+            "family = gaussian_mean", "family = soft_svm"), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "soft_svm needs a nonzero concept (x_star)" in capsys.readouterr().err
 
     def test_verify_without_config(self, capsys):
         assert main(["verify"]) == 0

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -472,6 +472,33 @@ class TestFindSampleComplexity:
             find_sample_complexity(PowerLawSolver(), gaussian(), -0.1, 0.3)
         with pytest.raises(InputError):
             find_sample_complexity(PowerLawSolver(), gaussian(), 0.1, 1.5)
+
+
+@dataclass(frozen=True)
+class RecordingSolver(PowerLawSolver):
+    """PowerLawSolver that logs each call's budget and stream seeds."""
+
+    calls: list = field(default_factory=list)
+
+    def run(self, problem, n, streams, epsilon=None):
+        self.calls.append((n, tuple(s.base_seed for s in streams)))
+        return super().run(problem, n, streams, epsilon)
+
+
+class TestCommonSeeds:
+    """Trial t draws from seed base + t at every probe and every curve point."""
+
+    def test_every_probe_runs_the_same_trials(self):
+        solver = RecordingSolver()
+        res = find_sample_complexity(solver, gaussian(), 0.1, 0.3, trials=4, base_seed=700)
+        assert len(solver.calls) == len(res.probes) > 10
+        assert {seeds for _n, seeds in solver.calls} == {(701, 702, 703, 704)}
+
+    def test_every_curve_point_runs_the_same_trials(self):
+        solver = RecordingSolver()
+        measure_curve(solver, gaussian(), [0.4, 0.2, 0.1], 0.3, trials=3, base_seed=90)
+        assert len({n for n, _seeds in solver.calls}) > 10
+        assert {seeds for _n, seeds in solver.calls} == {(91, 92, 93)}
 
 
 class TestMeasureCurve:

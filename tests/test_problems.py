@@ -459,6 +459,12 @@ class TestConstruction:
             GaussianMean(mean=[5.0], sigma=1.0,
                          feasible_set=FeasibleSet.l2_ball(1, 1.0))
 
+    @pytest.mark.parametrize("concept", [0.0, [0.0, 0.0, 0.0]])
+    def test_soft_svm_needs_a_concept(self, concept):
+        # a zero concept makes labels independent of the covariates
+        with pytest.raises(InputError, match="nonzero concept"):
+            SoftSVM(concept=concept)
+
     def test_lasso_family_tag(self):
         p = Lasso(coefficients=[1.0, 0.0], sigma=0.1, feasible_set=unconstrained(2))
         assert p.family == "lasso"
