@@ -6,7 +6,9 @@ and, where the algorithm has one, its schedule, restart multiplier and start
 point; every other solver parameter follows from the problem, the target
 epsilon and [experiment] beta.  Parsing validates every key and reports all
 problems at once; an unknown key is an error naming that key, and so is a
-[problem] key that the built problem would not read.
+key the run would not read: a [problem] key the built problem ignores, a
+[solver] key the algorithm ignores, an [experiment] key the mode ignores, and
+more than one epsilon outside rate-curve.
 The `sastra` entry point exposes one subcommand per experiment mode plus a
 built-in invariant suite; `--strict` turns flagged results (saturated
 searches, failed trials) into a nonzero exit status.
@@ -61,6 +63,12 @@ _FAMILY_KEYS = {
     "norm_power": ("sigma", "s"),
     "finite_sum_quadratic": ("x_star", "n_terms", "spread", "scales"),
 }
+# [solver] keys that only some algorithms read; any other algorithm rejects them
+_ALGORITHM_KEYS = {
+    "schedule": ("sgd",),
+    "multiplier": ("restart",),
+    "start": ("sgd", "restart", "erm", "batched_accel"),
+}
 _SOLVER_KEYS = {
     "algorithm": ("str", None),
     "schedule": ("str", "constant"),
@@ -75,6 +83,12 @@ _EXPERIMENT_KEYS = {
     "n": ("int", 100),
     "max_n": ("int", 1_000_000),
     "output": ("str", "report.csv"),
+}
+# [experiment] keys that only some modes read; beta is also read by restart
+_MODE_KEYS = {
+    "n": ("single-run",),
+    "max_n": ("sample-complexity", "rate-curve"),
+    "beta": ("sample-complexity", "rate-curve"),
 }
 
 # (section, key, test, requirement) for numeric keys; every trial would fail
@@ -186,6 +200,11 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"[solver]: unknown schedule {s.get('schedule')!r}")
     if "start" in s and s["start"] not in ("center", "boundary"):
         errors.append(f"[solver]: unknown start {s['start']!r}")
+    algorithm = s.get("algorithm")
+    if algorithm in _ALGORITHMS:
+        for key in sorted(given["solver"] & set(_ALGORITHM_KEYS)):
+            if algorithm not in _ALGORITHM_KEYS[key]:
+                errors.append(f"[solver]: algorithm {algorithm} does not read {key}")
 
     mode = e.get("mode")
     if mode is None:
@@ -197,6 +216,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if value is not None and not ok(value):
             errors.append(f"[{section}]: {key} {requirement}")
     eps = e.get("epsilons")
+    if mode in _MODES:
+        for key in sorted(given["experiment"] & set(_MODE_KEYS)):
+            if key == "beta" and algorithm == "restart":
+                continue  # the restart schedule's confidence, in every mode
+            if mode not in _MODE_KEYS[key]:
+                errors.append(f"[experiment]: mode {mode} does not read {key}")
+        if eps and len(eps) > 1 and mode != "rate-curve":
+            errors.append(f"[experiment]: mode {mode} reads one epsilon, not {len(eps)}")
     if mode in ("sample-complexity", "rate-curve") and not eps:
         errors.append(f"[experiment]: mode {mode} needs an epsilons list")
     elif s.get("algorithm") == "regularized_erm" and not eps:
@@ -421,14 +448,13 @@ def builtin_verify():
         if np.max(np.abs(mean - emp.gradient(x))) > 1e-12:
             raise AssertionError("vr gradient mean != full gradient")
 
-    def adjacent_seeds():
-        # derived seeds sit above 2^53, so their Philox keys must keep every bit
-        if np.array_equal(problems.uniform_values(2001, 0, 5),
-                          problems.uniform_values(2002, 0, 5)):
-            raise AssertionError("uniform_values(2001) == uniform_values(2002)")
-        a, b = (FiniteSumQuadratic.from_seed(3, 4, 1.0, seed=s).centers for s in (1, 2))
-        if np.array_equal(a, b):
-            raise AssertionError("from_seed(seed=1) == from_seed(seed=2)")
+    def distinct_streams():
+        # the three stream kinds of one seed, and each kind at adjacent seeds;
+        # seeds above 2^53 must keep every bit of their Philox key
+        keys = [(seed, kind) for seed in (2001, 2002, 2**60, 2**60 + 1) for kind in range(3)]
+        draws = {problems._uniform_windows(seed, 0, 5, 1, kind).tobytes() for seed, kind in keys}
+        if len(draws) != len(keys):
+            raise AssertionError("two (seed, kind) streams draw the same values")
 
     def prox_example():
         out = saa.composite_prox_step([0.0], [3.0], 0.1, saa.L1(1.0),
@@ -475,7 +501,7 @@ def builtin_verify():
     check("simplex entropic step stays normalized", simplex_norm)
     check("gaussian-mean recursion equals sample mean", mean_identity)
     check("vr gradient is unbiased over term index", vr_identity)
-    check("derived streams of adjacent seeds differ", adjacent_seeds)
+    check("streams of distinct (seed, kind) differ", distinct_streams)
     check("l1 prox closed form", prox_example)
     check("trial determinism across batching", determinism)
     check("exact ERM matches iterative ERM", exact_vs_iterative)

@@ -117,16 +117,18 @@ class FeasibleSet:
         block of points p, one per row, the largest bound over the rows.
 
         Exact on l2 balls, radius + ||center - p||, and on the simplex, whose
-        farthest point is a vertex.  An l1 ball lies in the l2 ball of the
-        same centre and radius and takes its bound.  inf on free space.
+        farthest point from q is the vertex e_i with i = argmin q, since
+        ||e_i - q||^2 = ||q||^2 - 2 q_i + 1.  An l1 ball lies in the l2 ball
+        of the same centre and radius and takes its bound.  inf on free space.
         """
         p = _check_vector(self, p)
         if self.kind == UNCONSTRAINED:
             return math.inf
         if self.kind == SIMPLEX:
-            vertices = np.eye(self.dimension)
-            return max(float(np.max(np.linalg.norm(vertices - q, axis=1)))
-                       for q in p.reshape(-1, self.dimension))
+            q = p.reshape(-1, self.dimension)
+            d = -q
+            d[np.arange(len(q)), np.argmin(q, axis=1)] += 1.0
+            return float(np.max(np.linalg.norm(d, axis=1)))
         d = self.center - p
         return self.radius + float(np.max(np.linalg.norm(d, axis=None if d.ndim == 1 else 1)))
 

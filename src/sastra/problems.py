@@ -5,15 +5,15 @@ for soft_svm, exact-quadrature) population objective, and declared constants.
 The per-sample subgradient works row by row: row t of a (T, n) block of
 points meets row t of a (T, width) block of samples, which is how the online
 solvers advance T trials at once.
-Sampling is counter-based: sample number ``i`` of a stream occupies a fixed
-window of the Philox-4x64 sequence under the 128-bit key (seed, salt), two
-exact 64-bit words, so a sample is a pure function of (seed, i) regardless of
-how many samples were drawn before it, on every platform.  Normals are
-produced from fixed-consumption uniforms through the inverse CDF, which keeps
-the window arithmetic exact.  Each thread keeps one Philox generator and
-sets its whole state (key, counter and output buffer) before every draw, so
-no state carries from one draw to the next; trials run on one thread, and a
-second thread gets its own generator.
+Sampling is counter-based.  Philox-4x64 draws of a seed run under the 128-bit
+key (seed, salt), two exact 64-bit words; counter words 0-1 count blocks, word
+2 is 0 and word 3 is the stream kind: 0 samples, 1 uniform_values, 2 centers
+of FiniteSumQuadratic.from_seed.  Value i of a stream is a pure function of
+(seed, kind, i) on every platform, and distinct (seed, kind) streams are
+disjoint by construction.  Normals come from fixed-consumption uniforms via
+the inverse CDF, which keeps the window arithmetic exact.  Each thread sets
+the whole state (key, counter, output buffer) of its one Philox generator
+before every draw, so no state carries from one draw to the next.
 """
 
 from __future__ import annotations
@@ -46,13 +46,12 @@ _MASK64 = (1 << 64) - 1
 # 0x9E3779B97F4A7C15 rounded to float64, the key word the streams of every
 # seed below 2^53 have always been drawn under.
 _KEY_SALT = 0x9E3779B97F4A8000
-# Stream-index salts for internal sample consumers (XORed into the base seed).
-CENTER_STREAM_INDEX = 0x5EED_F00D_0000_0002
-INDEX_STREAM_INDEX = 0x5EED_F00D_0000_0003
+# Stream kinds, carried in Philox counter word 3.
+_SAMPLES, _VALUES, _CENTERS = 0, 1, 2
 
 
-def _uniform_windows(seed: int, first_sample: int, count: int, words: int) -> np.ndarray:
-    """Uniform doubles for sample windows [first, first+count), shape (count, w4).
+def _uniform_windows(seed: int, first_sample: int, count: int, words: int, kind: int) -> np.ndarray:
+    """Uniform doubles for windows [first, first+count) of stream (seed, kind), shape (count, w4).
 
     Each sample owns ceil(words/4) Philox blocks; w4 = 4 * ceil(words/4).
     Only the first ``words`` columns are meaningful, the rest is padding that
@@ -65,7 +64,7 @@ def _uniform_windows(seed: int, first_sample: int, count: int, words: int) -> np
     # the state a fresh Philox(key=, counter=) starts from: an empty buffer
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [ctr & _MASK64, (ctr >> 64) & _MASK64, 0, 0],
+        "state": {"counter": [ctr & _MASK64, (ctr >> 64) & _MASK64, 0, kind],
                   "key": [seed & _MASK64, _KEY_SALT]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
@@ -91,14 +90,12 @@ def _std_normal(u: np.ndarray) -> np.ndarray:
 
 
 def uniform_values(seed: int, start: int, count: int) -> np.ndarray:
-    """Deterministic raw uniforms in [0,1), one Philox window per value.
+    """Raw uniforms in [0,1) from stream (seed, kind 1), one Philox block per value.
 
     Family-independent; used for index randomness (e.g. term sampling in
-    finite-sum solvers) so that problem sample windows stay untouched.
+    finite-sum solvers), disjoint from the seed's sample stream (kind 0).
     """
-    return _uniform_windows(
-        (seed ^ INDEX_STREAM_INDEX) & _MASK64, start, count, 1
-    )[:, 0]
+    return _uniform_windows(seed, start, count, 1, _VALUES)[:, 0]
 
 
 # Truncated-at-3-sigma standard normal: CDF window and variance.
@@ -164,7 +161,7 @@ class SampleStream:
         if count < 0:
             raise InputError("count must be nonnegative")
         p, words = self.problem, self.problem.rng_words
-        u = _uniform_windows(self.base_seed, self.counter, count, words)
+        u = _uniform_windows(self.base_seed, self.counter, count, words, _SAMPLES)
         rows = p.rows_from_uniforms(u[:, :words])
         return rows, SampleStream(p, self.base_seed, self.counter + count)
 
@@ -533,9 +530,7 @@ class FiniteSumQuadratic(ProblemInstance):
     def from_seed(dimension: int, n_terms: int, spread: float, seed: int,
                   scales=None, set_=None, mean=None):
         """Deterministic Gaussian center pool around ``mean``."""
-        u = _uniform_windows(
-            (seed ^ CENTER_STREAM_INDEX) & _MASK64, 0, n_terms, dimension
-        )[:, :dimension]
+        u = _uniform_windows(seed, 0, n_terms, dimension, _CENTERS)[:, :dimension]
         base = np.zeros(dimension) if mean is None else np.asarray(mean, float)
         centers = base + spread * _std_normal(u)
         # recenter so the population optimum is exactly ``mean``

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from sastra.cli import (
+    _ALGORITHM_KEYS,
     _ALGORITHMS,
     _FAMILIES,
     _SETS,
@@ -15,6 +16,7 @@ from sastra.cli import (
 )
 from sastra.errors import ConfigError, SastraError
 from sastra.harness import run_trials
+from sastra import problems
 from reference import read_report
 
 MINIMAL = """
@@ -84,7 +86,8 @@ class TestParseConfig:
 
     def test_regularized_erm_requires_epsilons(self):
         # its regularizer weight follows epsilon: without one every trial failed
-        bad = MINIMAL.format(out="r.csv").replace("algorithm = sgd", "algorithm = regularized_erm")
+        bad = MINIMAL.format(out="r.csv").replace(
+            "algorithm = sgd\nschedule = inverse_strong", "algorithm = regularized_erm")
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
         assert err.value.errors == ["[experiment]: algorithm regularized_erm needs an epsilons list"]
@@ -114,22 +117,26 @@ mode = dance
         assert len(err.value.errors) >= 4
 
     def test_out_of_range_values_collected(self):
-        # each of these made every trial fail while the run exited 0
-        bad = {
-            ("solver", "multiplier"): "0",
-            ("experiment", "beta"): "1.5",
-            ("experiment", "trials"): "0",
-            ("experiment", "n"): "0",
-            ("experiment", "max_n"): "0",
-        }
-        text = MINIMAL.format(out="r.csv").replace("n = 100\n", "").replace("trials = 1\n", "")
-        for (section, key), value in bad.items():
-            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
-        with pytest.raises(ConfigError) as err:
-            parse_config(text)
-        for section, key in bad:
-            assert any(m.startswith(f"[{section}]: {key} ") for m in err.value.errors), key
-        assert len(err.value.errors) == len(bad)
+        # each of these made every trial fail while the run exited 0; each
+        # config sets only keys that its run reads
+        cases = [
+            # a restart run reads multiplier, beta, trials and n
+            (MINIMAL.replace("algorithm = sgd\nschedule = inverse_strong", "algorithm = restart")
+             .replace("n = 100\n", "").replace("trials = 1\n", ""),
+             {("solver", "multiplier"): "0", ("experiment", "beta"): "1.5",
+              ("experiment", "trials"): "0", ("experiment", "n"): "0"}),
+            # a search reads max_n
+            (CURVE.replace("max_n = 100000\n", ""), {("experiment", "max_n"): "0"}),
+        ]
+        for template, bad in cases:
+            text = template.format(out="r.csv")
+            for (section, key), value in bad.items():
+                text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            for section, key in bad:
+                assert any(m.startswith(f"[{section}]: {key} ") for m in err.value.errors), key
+            assert len(err.value.errors) == len(bad)
 
     @pytest.mark.parametrize("section, key, value", [
         ("problem", "sigma", "nan"),
@@ -170,6 +177,34 @@ mode = dance
             parse_config(text)
         assert err.value.errors == [f"[problem]: {error}"]
 
+    @pytest.mark.parametrize("base, old, new, error", [
+        ("minimal", "algorithm = sgd\nschedule = inverse_strong", "algorithm = erm\nschedule = adagrad",
+         "[solver]: algorithm erm does not read schedule"),
+        ("minimal", "schedule = inverse_strong", "schedule = inverse_strong\nmultiplier = 5.0",
+         "[solver]: algorithm sgd does not read multiplier"),
+        ("minimal", "algorithm = sgd\nschedule = inverse_strong", "algorithm = vr_erm\nstart = boundary",
+         "[solver]: algorithm vr_erm does not read start"),
+        ("curve", "algorithm = sgd\nschedule = inverse_strong", "algorithm = regularized_erm\nstart = center",
+         "[solver]: algorithm regularized_erm does not read start"),
+        ("curve", "trials = 10", "trials = 10\nn = 7", "[experiment]: mode rate-curve does not read n"),
+        ("minimal", "n = 100", "n = 100\nmax_n = 7", "[experiment]: mode single-run does not read max_n"),
+        ("minimal", "n = 100", "n = 100\nbeta = 0.2",
+         "[experiment]: mode single-run does not read beta"),
+        ("curve", "mode = rate-curve", "mode = sample-complexity",
+         "[experiment]: mode sample-complexity reads one epsilon, not 2"),
+        ("minimal", "n = 100", "n = 100\nepsilons = 0.1, 0.05",
+         "[experiment]: mode single-run reads one epsilon, not 2"),
+    ], ids=["schedule", "multiplier", "start-vr_erm", "start-regularized_erm", "n", "max_n",
+            "beta", "epsilons-complexity", "epsilons-single-run"])
+    def test_unread_run_keys_rejected(self, base, old, new, error):
+        # each was accepted and silently ignored (an epsilon after the first
+        # was never searched): the run differed from the config text
+        text = {"minimal": MINIMAL, "curve": CURVE}[base].format(out="r.csv")
+        assert old in text
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace(old, new))
+        assert err.value.errors == [error]
+
     def test_ball_keys_accepted_with_a_ball(self):
         text = MINIMAL.format(out="r.csv").replace(
             "dimension = 1", "dimension = 3\nset = l1_ball\nradius = 2.0\ncenter = 0.5, 0, 0")
@@ -196,8 +231,10 @@ class TestBuilders:
     def test_build_each_solver(self):
         for algo in ("sgd", "restart", "erm", "regularized_erm", "vr_erm",
                      "batched_accel"):
+            schedule = "\nschedule = inverse_strong" if algo == "sgd" else ""
             text = MINIMAL.format(out="r.csv").replace(
-                "algorithm = sgd", f"algorithm = {algo}").replace("n = 100", "n = 100\nepsilons = 0.1")
+                "algorithm = sgd\nschedule = inverse_strong", f"algorithm = {algo}{schedule}"
+            ).replace("n = 100", "n = 100\nepsilons = 0.1")
             solver = build_solver(parse_config(text))
             assert hasattr(solver, "run")
 
@@ -211,7 +248,7 @@ set = {set}
 
 [solver]
 algorithm = {algorithm}
-start = {start}
+{start}
 
 [experiment]
 mode = single-run
@@ -231,7 +268,9 @@ class TestConfigMatrix:
         for start in (("center", "boundary") if algorithm in ("sgd", "restart", "batched_accel")
                       else ("center",))])
     def test_builds_or_fails_cleanly(self, algorithm, start):
-        escaped = []
+        escaped, built = [], 0
+        # regularized_erm and vr_erm read no start; their rows set none
+        start = f"start = {start}" if algorithm in _ALGORITHM_KEYS["start"] else ""
         for family in _FAMILIES:
             for set_ in _SETS:
                 # soft_svm needs a nonzero concept
@@ -243,11 +282,13 @@ class TestConfigMatrix:
                     problem, solver = build_problem(cfg), build_solver(cfg)
                 except SastraError:
                     continue
+                built += 1
                 try:
                     run_trials(solver, problem, 20, 1, 0, epsilon=0.1)
                 except Exception as exc:  # noqa: BLE001 - collect every escape
                     escaped.append(f"{family}/{set_}: {type(exc).__name__}: {exc}")
         assert escaped == []
+        assert built > 0  # a config the parser rejects tests nothing
 
 
 class TestDispatch:
@@ -311,7 +352,17 @@ output = {out}
         assert dispatch(cfg) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-        assert "PASS derived streams of adjacent seeds differ" in out
+        assert "PASS streams of distinct (seed, kind) differ" in out
+
+    def test_verify_fails_when_stream_kinds_collapse(self, monkeypatch, capsys):
+        # every stream kind drawn as the sample stream: verify must say so
+        windows = problems._uniform_windows
+        monkeypatch.setattr(problems, "_uniform_windows",
+                            lambda seed, first, count, words, kind: windows(seed, first, count, words, 0))
+        assert main(["verify"]) == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert fails == ["FAIL streams of distinct (seed, kind) differ: "
+                         "AssertionError: two (seed, kind) streams draw the same values"]
 
     def test_strict_flags_saturation(self, tmp_path):
         # max_n too small for the target epsilon: search saturates

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,17 @@ class TestMaxDistance:
         s = FeasibleSet.simplex(4)
         for p in self.POINTS + [np.full(4, 0.25)]:
             assert s.max_distance(p) == np.max(np.linalg.norm(np.eye(4) - p, axis=1))
+
+    def test_simplex_bound_builds_no_identity(self):
+        # a bound over the rows of np.eye(n) peaked at 96 MB here
+        s, p = FeasibleSet.simplex(2000), np.full(2000, 1.0 / 2000)
+        tracemalloc.start()
+        try:
+            s.max_distance(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_free_space_is_unbounded(self):
         assert FeasibleSet.unconstrained(4).max_distance(self.POINTS[1]) == math.inf

@@ -80,6 +80,24 @@ class TestStreams:
         b, _ = gaussian1d.stream(2**60 + 1).draw_block(5)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 2001, 2**60 + 1])
+    def test_streams_are_bare_philox_keyed_by_seed_and_kind(self, seed):
+        # one key per seed; the stream kind is Philox counter word 3: samples
+        # 0, uniform_values 1, from_seed centers 2
+        def blocks(kind, first, count):
+            bits = np.random.Philox(key=seed + (problems._KEY_SALT << 64),
+                                    counter=first + (kind << 192))
+            return np.random.Generator(bits).random(4 * count).reshape(count, 4)
+
+        p = GaussianMean(mean=np.zeros(3), sigma=1.0, feasible_set=unconstrained(3))
+        _, stream = p.stream(seed).draw_block(2)
+        rows, _ = stream.draw_block(5)
+        np.testing.assert_array_equal(rows, problems._std_normal(blocks(0, 2, 5)[:, :3]))
+        np.testing.assert_array_equal(uniform_values(seed, 4, 6), blocks(1, 4, 6)[:, 0])
+        z = problems._std_normal(blocks(2, 0, 6)[:, :3])
+        np.testing.assert_array_equal(FiniteSumQuadratic.from_seed(3, 6, 1.0, seed=seed).centers,
+                                      z + (np.zeros(3) - z.mean(axis=0)))
+
     def test_threads_draw_what_one_thread_draws(self, gaussian1d):
         # the reused bit generator is per thread: interleaved draws must not
         # leak state into each other
