@@ -1,7 +1,9 @@
 """Experiment engine: trials, success probabilities, sample-complexity search.
 
 Trials run on one thread, seeded base+1..base+T, so a run depends only on
-its config and seed, and trial streams never overlap.  run_trials hands a
+its config and seed, and the T trial streams of one probe never overlap.
+Across probes they are shared by design (below), and two experiments whose
+base seeds differ by d < T share T - d trials.  run_trials hands a
 solver all T streams of a probe at once.  The online solvers (sgd, restart,
 batched_accel) advance them in lockstep as one (T, n) block of iterates in
 one sa_solvers call; the offline ones solve trial after trial.  Either way
@@ -137,6 +139,7 @@ class ComplexityResult:
 # solver adapters: (problem, sample budget, T streams, epsilon) -> T outcomes,
 # each the trial's point or the error that failed it.  A solver parameter
 # that is not a field is fixed here or follows from the problem and epsilon.
+# No adapter reads the optimum: run_trials alone grades the points.
 # ---------------------------------------------------------------------------
 
 
@@ -149,10 +152,14 @@ def _start_point(problem: ProblemInstance, mode: str) -> np.ndarray:
         e1[0] = 1.0
         if set_.kind == "l2_ball" or set_.kind == "l1_ball":
             return set_.center + set_.radius * e1
-        if set_.kind == "simplex":
-            return e1
-        return problem.x_star + e1
+        return e1  # a simplex vertex, or on free space the centre start plus e1
     raise InputError(f"unknown start mode {mode!r}")
+
+
+def _radius(problem: ProblemInstance) -> float:
+    """The distance scale of the online step sizes: the set's radius, 1 on free space."""
+    set_ = problem.feasible_set
+    return set_.radius if set_.is_bounded else 1.0
 
 
 def _row_outcomes(trace) -> list:
@@ -184,8 +191,7 @@ class SgdSolver:
 
     def _make_schedule(self, problem, n):
         c = problem.constants()
-        set_ = problem.feasible_set
-        radius = set_.radius if set_.is_bounded else 1.0
+        radius = _radius(problem)
         if self.schedule == "inverse_strong":
             if c.mu_p <= 0:
                 raise NotApplicableError("1/(mu k) schedule needs mu_p > 0")
@@ -213,7 +219,6 @@ class RestartSolver:
     beta: float = 0.3
     multiplier: float = 1.0
     start: str = "boundary"
-    radius: float | None = None
 
     @property
     def id(self) -> str:
@@ -221,11 +226,9 @@ class RestartSolver:
 
     def run(self, problem, n, streams, epsilon=None) -> list:
         x0 = _start_point(problem, self.start)
-        r1 = self.radius
-        if r1 is None:
-            r1 = max(float(np.linalg.norm(x0 - problem.x_star)), 1e-8)
         trace, _ = restarted_budget_run(
-            problem, n, self.beta, r1, list(streams), x0, multiplier=self.multiplier
+            problem, n, self.beta, _radius(problem), list(streams), x0,
+            multiplier=self.multiplier,
         )
         return _row_outcomes(trace)
 
@@ -296,7 +299,7 @@ class BatchedAccelSolver:
     def run(self, problem, n, streams, epsilon=None) -> list:
         c = problem.constants()
         x0 = _start_point(problem, self.start)
-        radius = max(float(np.linalg.norm(x0 - problem.x_star)), 1e-8)
+        radius = _radius(problem)
         # invert total samples N(eps) * r(eps) <= n over the formula pair; the
         # top of the bracket gives N = r = 1, which fits any budget
         lo, hi = 1e-12, max(c.L * radius**2, c.sigma_star_sq / c.L)
@@ -404,13 +407,16 @@ def find_sample_complexity(
 ) -> ComplexityResult:
     """Smallest probed N with empirical success fraction >= 1 - beta.
 
-    Doubles N from n_start until the criterion holds (saturating at max_n),
-    then bisects the bracketing doubling interval geometrically until
+    Doubles N from min(n_start, max_n) until the criterion holds
+    (saturating at max_n), then bisects the bracketing doubling interval,
+    from the last failed probe to the first passing one, geometrically until
     hi <= _RESOLUTION * lo.  Every probe runs the same trials, seeds
     base_seed + 1 .. base_seed + trials, so probes differ only in N.
     """
     if epsilon <= 0 or not 0 < beta < 1:
         raise InputError("need epsilon > 0 and beta in (0, 1)")
+    if max_n < 1:
+        raise InputError("max_n must be >= 1")
     probes = []
 
     def succeeds(n: int) -> bool:
@@ -419,16 +425,15 @@ def find_sample_complexity(
         probes.append((n, k, trials))
         return k / trials >= 1.0 - beta
 
-    n = max(1, n_start)
-    if succeeds(n):
-        return ComplexityResult(n, False, tuple(probes))
+    hi = min(max(1, n_start), max_n)
+    if succeeds(hi):
+        return ComplexityResult(hi, False, tuple(probes))
     while True:
-        if n >= max_n:
+        if hi >= max_n:
             return ComplexityResult(max_n, True, tuple(probes))
-        n = min(2 * n, max_n)
-        if succeeds(n):
+        lo, hi = hi, min(2 * hi, max_n)
+        if succeeds(hi):
             break
-    lo, hi = n // 2, n
     while hi > lo * _RESOLUTION:
         mid = max(lo + 1, int(round(math.sqrt(lo * hi))))
         if mid >= hi:

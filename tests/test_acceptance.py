@@ -109,8 +109,7 @@ def test_04_growth_restart_complexity():
     for s, c in configs.items():
         p = NormPower(s=s, sigma=c["sigma"], dim=c["n"],
                       feasible_set=FeasibleSet.l2_ball(c["n"], c["ball"]))
-        solver = RestartSolver(beta=0.3, multiplier=c["mult"], start="boundary",
-                               radius=c["ball"])
+        solver = RestartSolver(beta=0.3, multiplier=c["mult"], start="boundary")
         curve = measure_curve(solver, p, eps_list, beta=0.3, trials=50,
                               max_n=1_000_000, base_seed=40_000)
         exponent = -curve.slope

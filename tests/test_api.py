@@ -53,7 +53,6 @@ KEEP_KEYS = {
 }
 # class.field -> why it keeps a default nothing in src/ or bench/ overrides
 KEEP_FIELDS = {
-    "RestartSolver.radius": "test_04 pins R1; ROADMAP item 6 takes radii from the set or config",
     "SlidingParams.inner_budget": "a test caps the inner iterations",
 }
 _SCHEMA_TABLES = ("_PROBLEM_KEYS", "_SOLVER_KEYS", "_EXPERIMENT_KEYS")
@@ -61,7 +60,6 @@ _SCHEMA_TABLES = ("_PROBLEM_KEYS", "_SOLVER_KEYS", "_EXPERIMENT_KEYS")
 # module.function.parameter -> why it keeps a default nothing in src/ or
 # bench/ overrides
 KEEP_DEFAULTS = {
-    "sa_solvers.sgd_run.record_gaps": "ROADMAP item 9 makes it the one-pass curve engine",
     "sa_solvers.restart_stage_plan.multiplier":
         "bench/spans.py keeps restart_stage_plan; ROADMAP item 7 deletes it",
     "saa_solvers.solve_erm.budget": "tests cap the iterations",
@@ -189,6 +187,32 @@ def test_every_declared_constant_is_read():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute)}
     assert fields - read == set(), "declared constants nothing reads; delete them"
+
+
+def _attribute_reads(attr: str) -> list:
+    """'module.function' for every read of the attribute ``attr`` in src/
+    outside problems.py, named by the innermost function around it."""
+    reads = []
+    for path in sorted((ROOT / "src" / "sastra").glob("*.py")):
+        if path.name == "problems.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == attr:
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                reads.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    return reads
+
+
+def test_only_the_harness_grades():
+    # a solver never reads the optimum it is graded against: no module but
+    # problems reads x_star, and run_trials alone takes population gaps (the
+    # cli's "x_star" config key is a string, not a read)
+    assert _attribute_reads("x_star") == []
+    assert _attribute_reads("population_gap") == ["harness.run_trials"]
 
 
 def _calls():

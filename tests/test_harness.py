@@ -3,6 +3,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sastra.errors import DegenerateInputError, InputError
 from sastra.geometry import FeasibleSet
@@ -30,6 +32,7 @@ from sastra.problems import (
     FiniteSumQuadratic,
     GaussianMean,
     NormPower,
+    ProblemInstance,
     RidgeRegression,
     SampleStream,
     SoftSVM,
@@ -62,6 +65,20 @@ class NeverSolver:
 
     def run(self, problem, n, streams, epsilon=None):
         return [problem.x_star + 100.0 for _ in streams]
+
+
+@dataclass(frozen=True)
+class StepSolver:
+    """Every trial succeeds exactly when the budget reaches ``need``."""
+
+    need: int
+
+    @property
+    def id(self) -> str:
+        return "step"
+
+    def run(self, problem, n, streams, epsilon=None):
+        return [problem.x_star + (0.0 if n >= self.need else 100.0) for _ in streams]
 
 
 def gaussian():
@@ -181,6 +198,12 @@ def _batching_cases():
                        id="sgd[decreasing]-ridge-l1")
     yield pytest.param(RestartSolver(), NormPower(s=2.0, sigma=1.0, dim=5), 2000,
                        id="restart-norm_power-l2")
+    yield pytest.param(RestartSolver(start="center"), NormPower(s=2.0, sigma=1.0, dim=5), 2000,
+                       id="restart[center]-norm_power-l2")
+    yield pytest.param(RestartSolver(start="center"),
+                       GaussianMean(mean=[0.2, 0.3, 0.5], sigma=1.0,
+                                    feasible_set=_SETS["l2_off_centre"]), 2000,
+                       id="restart[center]-gaussian_mean-l2_off_centre")
     # minibatch acceleration: every ball kind, both starts, ridge's gemv
     # gradients on odd-length rows and the norm-power row norms
     for start, name in (("center", "l2"), ("boundary", "l2_off_centre"), ("boundary", "free")):
@@ -250,6 +273,63 @@ class TestLockstepTrials:
         (single,) = run_trials(solver, problem, n, 1, 703)
         assert [r.failed for r in block] == [t == 4 for t in range(1, 9)]
         assert block[3].diagnostic == single.diagnostic == f"RunAborted: {alone}"
+
+
+class _TruthRead(Exception):
+    """Raised by a patched x_star or population_gap: the solver read the truth."""
+
+
+def _truth_probe_cases():
+    # every adapter from both starts (the two without a start run once) on
+    # a centred ball whose centre is x*, an off-centre ball, and free space,
+    # where the boundary start and the ERM minimum-norm anchor live
+    problems = {
+        "norm_power-l2": NormPower(s=2.0, sigma=1.0, dim=10),
+        "gaussian_mean-l2_off_centre": GaussianMean(mean=[0.2, 0.3, 0.5], sigma=1.0,
+                                                    feasible_set=_SETS["l2_off_centre"]),
+        "gaussian_mean-free": GaussianMean(mean=[0.2, 0.3, 0.5], sigma=1.0,
+                                           feasible_set=_SETS["free"]),
+        "ridge-free": RidgeRegression(coefficients=np.linspace(-0.5, 0.5, 8), sigma=1.0,
+                                      feasible_set=FeasibleSet.unconstrained(8)),
+    }
+    for name, problem in problems.items():
+        for start in ("center", "boundary"):
+            for adapter in (SgdSolver, RestartSolver, ErmSolver, BatchedAccelSolver):
+                yield pytest.param(adapter(start=start), problem,
+                                   id=f"{adapter(start=start).id}[{start}]-{name}")
+        for solver in (RegularizedErmSolver(), VrErmSolver()):
+            yield pytest.param(solver, problem, id=f"{solver.id}-{name}")
+
+
+class TestNoSolverReadsTheTruth:
+    """Only run_trials grades: no adapter reads x* or a population gap."""
+
+    @pytest.mark.parametrize("solver, problem", list(_truth_probe_cases()))
+    def test_solver_runs_without_the_truth(self, solver, problem, monkeypatch):
+        def read(*args):
+            raise _TruthRead
+
+        monkeypatch.setattr(type(problem), "x_star", property(read))
+        monkeypatch.setattr(ProblemInstance, "population_gap", read)
+        streams = [problem.stream(t) for t in (1, 2)]
+        try:
+            outcomes = solver.run(problem, 5, streams, 0.1)
+        except harness._TRIAL_ERRORS:
+            return  # the solver does not apply; it failed before any read
+        assert len(outcomes) == 2
+
+    def test_centre_start_restart_leaves_the_optimum(self):
+        # the centre of the unit ball is x*; a radius read from ||x0 - x*||
+        # floored at 1e-8 and the run never left it
+        results = run_trials(RestartSolver(start="center"), NormPower(s=2.0, sigma=1.0, dim=10),
+                             10, 50, 1_000)
+        assert not any(r.failed for r in results)
+        assert float(np.median([r.gap for r in results])) > 1e-4
+
+    def test_boundary_start_on_free_space_is_e1(self):
+        problem = RidgeRegression(coefficients=[0.3, -0.2, 0.1], sigma=1.0,
+                                  feasible_set=_SETS["free"])
+        np.testing.assert_array_equal(harness._start_point(problem, "boundary"), [1.0, 0.0, 0.0])
 
 
 class TestBatchedAccelSizing:
@@ -472,6 +552,38 @@ class TestFindSampleComplexity:
             find_sample_complexity(PowerLawSolver(), gaussian(), -0.1, 0.3)
         with pytest.raises(InputError):
             find_sample_complexity(PowerLawSolver(), gaussian(), 0.1, 1.5)
+        with pytest.raises(InputError):
+            find_sample_complexity(PowerLawSolver(), gaussian(), 0.1, 0.3, max_n=0)
+
+    def test_bisection_stays_above_the_last_failed_probe(self):
+        # max_n clamps the doubling at 100, so the bracket is (64, 100]
+        res = find_sample_complexity(StepSolver(70), gaussian(), 0.1, 0.3, trials=1,
+                                     max_n=100)
+        probed = [n for n, _k, _t in res.probes]
+        assert probed[:8] == [1, 2, 4, 8, 16, 32, 64, 100]
+        assert min(probed[8:]) > 64
+        assert 70 <= res.n <= 70 * harness._RESOLUTION
+
+    @pytest.mark.parametrize("solver, saturated", [(StepSolver(10), False), (NeverSolver(), True)],
+                             ids=["passes", "never"])
+    def test_n_start_above_max_n_probes_max_n(self, solver, saturated):
+        res = find_sample_complexity(solver, gaussian(), 0.1, 0.3, trials=1, max_n=50,
+                                     n_start=100)
+        assert [n for n, _k, _t in res.probes] == [50]
+        assert (res.n, res.saturated) == (50, saturated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(need=st.integers(1, 5000), max_n=st.integers(1, 5000), n_start=st.integers(1, 5000))
+def test_search_brackets_a_step(need, max_n, n_start):
+    res = find_sample_complexity(StepSolver(need), gaussian(), 0.1, 0.3, trials=1,
+                                 max_n=max_n, n_start=n_start)
+    assert max(n for n, _k, _t in res.probes) <= max_n
+    assert res.saturated == (need > max_n)
+    if not res.saturated and min(n_start, max_n) >= need:
+        assert res.n == min(n_start, max_n)  # the first probe passes
+    elif not res.saturated:
+        assert need <= res.n <= need * harness._RESOLUTION
 
 
 @dataclass(frozen=True)

@@ -166,16 +166,6 @@ class TestSgdRun:
         assert type(error) is RunAborted
         assert str(error) == "non-finite iterate at step 4"
 
-    def test_gap_checkpoints_decimated(self):
-        p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
-        trace, _ = sgd_run(p, InverseStrong(2.0), 3000, [p.stream(1)], [0.0],
-                           record_gaps=True)
-        (checkpoints,) = trace.gap_checkpoints
-        assert 1 <= len(checkpoints) <= 512
-        ks = [k for k, _ in checkpoints]
-        assert ks == sorted(set(ks))
-        assert all(g >= 0 for _, g in checkpoints)
-
 
 class TestRestarts:
     def test_stage_counts_double_for_s2(self):
