@@ -4,11 +4,14 @@ Config files are flat sectioned key=value text (INI syntax) with three
 sections: [problem], [solver], [experiment].  [solver] names the algorithm
 and, where the algorithm has one, its schedule, restart multiplier and start
 point; every other solver parameter follows from the problem, the target
-epsilon and [experiment] beta.  Parsing validates every key and reports all
-problems at once; an unknown key is an error naming that key, and so is a
-key the run would not read: a [problem] key the built problem ignores, a
-[solver] key the algorithm ignores, an [experiment] key the mode ignores, and
-more than one epsilon outside rate-curve.
+epsilon and [experiment] beta.  One key table, ``_KEYS``, states each key's
+section, type, default or requirement, allowed values or range, and the
+family, set, algorithm or mode that reads it.  Parsing checks every key
+against that table and reports all problems at once; an unknown key is an
+error naming that key, and so is a key the run would not read: a [problem]
+key the built problem ignores, a [solver] key the algorithm ignores, an
+[experiment] key the mode ignores, and more than one epsilon outside
+rate-curve.
 The `sastra` entry point exposes one subcommand per experiment mode plus a
 built-in invariant suite; `--strict` turns flagged results (saturated
 searches, failed trials) into a nonzero exit status.
@@ -31,75 +34,75 @@ from . import harness, problems, saa_solvers as saa
 __all__ = ["ExperimentConfig", "parse_config", "dispatch", "main"]
 
 _MODES = ("single-run", "sample-complexity", "rate-curve", "verify")
+_SEARCHES = ("sample-complexity", "rate-curve")
 _ALGORITHMS = ("sgd", "restart", "erm", "regularized_erm", "vr_erm", "batched_accel")
-_SCHEDULES = ("constant", "inverse_strong", "decreasing", "adagrad")
 _SETS = ("unconstrained", "l2_ball", "l1_ball", "simplex")
 _FAMILIES = tuple(problems._FAMILIES)
+_REQUIRED = object()
 
-# key -> (type tag, default) ; None default means "absent unless given"
-_PROBLEM_KEYS = {
-    "family": ("str", None),
-    "dimension": ("int", None),
-    "sigma": ("float", 1.0),
-    "s": ("float", 2.0),
-    "x_star": ("floats", None),
-    "set": ("str", None),
-    "radius": ("float", 1.0),
-    "center": ("floats", None),
-    "n_terms": ("int", 16),
-    "spread": ("float", 1.0),
-    "scales": ("floats", None),
-    # accepted for old configs; soft_svm ground truth is exact and ignores them
-    "pool_size": ("int", 1_000_000),
-    "pool_seed": ("int", 2024),
-    "seed": ("int", 0),
-}
-# [problem] keys that only some families read; any other family rejects them
-_FAMILY_KEYS = {
-    "gaussian_mean": ("sigma", "x_star"),
-    "ridge": ("sigma", "x_star"),
-    "lasso": ("sigma", "x_star"),
-    "soft_svm": ("x_star",),
-    "norm_power": ("sigma", "s"),
-    "finite_sum_quadratic": ("x_star", "n_terms", "spread", "scales"),
-}
-# [solver] keys that only some algorithms read; any other algorithm rejects them
-_ALGORITHM_KEYS = {
-    "schedule": ("sgd",),
-    "multiplier": ("restart",),
-    "start": ("sgd", "restart", "erm", "batched_accel"),
-}
-_SOLVER_KEYS = {
-    "algorithm": ("str", None),
-    "schedule": ("str", "constant"),
-    "multiplier": ("float", 1.0),
-    "start": ("str", None),
-}
-_EXPERIMENT_KEYS = {
-    "mode": ("str", None),
-    "epsilons": ("floats", None),
-    "beta": ("float", 0.1),
-    "trials": ("int", 50),
-    "n": ("int", 100),
-    "max_n": ("int", 1_000_000),
-    "output": ("str", "report.csv"),
-}
-# [experiment] keys that only some modes read; beta is also read by restart
-_MODE_KEYS = {
-    "n": ("single-run",),
-    "max_n": ("sample-complexity", "rate-curve"),
-    "beta": ("sample-complexity", "rate-curve"),
-}
 
-# (section, key, test, requirement) for numeric keys; every trial would fail
-# with a value outside its range, so such a config is rejected up front
-_RANGES = (
-    ("solver", "multiplier", lambda v: v > 0, "must be positive"),
-    ("experiment", "beta", lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    ("experiment", "trials", lambda v: v >= 1, "must be >= 1"),
-    ("experiment", "n", lambda v: v >= 1, "must be >= 1"),
-    ("experiment", "max_n", lambda v: v >= 1, "must be >= 1"),
-)
+@dataclass(frozen=True)
+class _Key:
+    """The rules of one config key."""
+
+    tag: str  # int | float | floats | str
+    default: object = None  # _REQUIRED, or None for "absent unless given"
+    allowed: tuple = ()  # the only values a str key may take, if any
+    # (test, requirement) the value must pass: every trial would fail
+    # with a value outside it, so such a config is rejected up front
+    limit: tuple = ()
+    # (selector key, the selector values whose run reads this key); given
+    # under any other value, the key is an error
+    readers: tuple = ()
+
+
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_BALLS = ("l2_ball", "l1_ball")
+_FINITE_SUM = ("family", ("finite_sum_quadratic",))
+
+# section -> key -> rules
+_KEYS = {
+    "problem": {
+        "family": _Key("str", _REQUIRED, allowed=_FAMILIES),
+        "dimension": _Key("int", _REQUIRED, limit=_AT_LEAST_ONE),
+        "sigma": _Key("float", 1.0, readers=(
+            "family", ("gaussian_mean", "ridge", "lasso", "norm_power"))),
+        "s": _Key("float", 2.0, readers=("family", ("norm_power",))),
+        "x_star": _Key("floats", readers=(
+            "family", ("gaussian_mean", "ridge", "lasso", "soft_svm", "finite_sum_quadratic"))),
+        "set": _Key("str", allowed=_SETS),
+        "radius": _Key("float", 1.0, readers=("set", _BALLS)),
+        "center": _Key("floats", readers=("set", _BALLS)),
+        "n_terms": _Key("int", 16, limit=_AT_LEAST_ONE, readers=_FINITE_SUM),
+        "spread": _Key("float", 1.0, readers=_FINITE_SUM),
+        "scales": _Key("floats", readers=_FINITE_SUM),
+        # accepted for old configs; soft_svm ground truth is exact and ignores them
+        "pool_size": _Key("int", 1_000_000),
+        "pool_seed": _Key("int", 2024),
+        "seed": _Key("int", 0),
+    },
+    "solver": {
+        "algorithm": _Key("str", _REQUIRED, allowed=_ALGORITHMS),
+        "schedule": _Key("str", "constant",
+                         allowed=("constant", "inverse_strong", "decreasing", "adagrad"),
+                         readers=("algorithm", ("sgd",))),
+        "multiplier": _Key("float", 1.0, limit=(lambda v: v > 0, "must be positive"),
+                           readers=("algorithm", ("restart",))),
+        "start": _Key("str", allowed=("center", "boundary"), readers=(
+            "algorithm", ("sgd", "restart", "erm", "batched_accel"))),
+    },
+    "experiment": {
+        "mode": _Key("str", _REQUIRED, allowed=_MODES),
+        "epsilons": _Key("floats", limit=(lambda v: all(x > 0 for x in v), "must be positive")),
+        # restart also reads beta in every mode (see parse_config)
+        "beta": _Key("float", 0.1, limit=(lambda v: 0 < v < 1, "must lie in (0, 1)"),
+                     readers=("mode", _SEARCHES)),
+        "trials": _Key("int", 50, limit=_AT_LEAST_ONE),
+        "n": _Key("int", 100, limit=_AT_LEAST_ONE, readers=("mode", ("single-run",))),
+        "max_n": _Key("int", 1_000_000, limit=_AT_LEAST_ONE, readers=("mode", _SEARCHES)),
+        "output": _Key("str", "report.csv"),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -147,101 +150,69 @@ def parse_config(text: str) -> ExperimentConfig:
     except Exception as exc:
         raise ConfigError([f"config syntax: {exc}"]) from exc
 
-    specs = {"problem": _PROBLEM_KEYS, "solver": _SOLVER_KEYS, "experiment": _EXPERIMENT_KEYS}
     for section in cp.sections():
-        if section not in specs:
+        if section not in _KEYS:
             errors.append(f"unknown section [{section}]")
-    for section in specs:
+    for section in _KEYS:
         if section not in cp:
             errors.append(f"missing required section [{section}]")
 
     out, given = {}, {}
-    for section, schema in specs.items():
+    for section, schema in _KEYS.items():
         values = {}
         if section in cp:
             for key, raw in cp[section].items():
                 if key not in schema:
                     errors.append(f"[{section}]: unknown key {key!r}")
                     continue
-                v = _parse_value(schema[key][0], raw, f"[{section}] {key}", errors)
+                v = _parse_value(schema[key].tag, raw, f"[{section}] {key}", errors)
                 if v is not None:
                     values[key] = v
-        given[section] = set(values)
-        for key, (_tag, default) in schema.items():
-            if key not in values and default is not None:
-                values[key] = default
+        given[section] = sorted(values)
+        for key, rules in schema.items():
+            if key not in values and rules.default not in (None, _REQUIRED):
+                values[key] = rules.default
         out[section] = values
 
-    p, s, e = out["problem"], out["solver"], out["experiment"]
-    if "family" not in p:
-        errors.append("[problem]: family is required")
-    elif p["family"] not in _FAMILIES:
-        errors.append(f"[problem]: unknown family {p['family']!r}")
-    if "dimension" not in p:
-        errors.append("[problem]: dimension is required")
-    elif p["dimension"] < 1:
-        errors.append("[problem]: dimension must be >= 1")
-    if "set" in p and p["set"] not in _SETS:
-        errors.append(f"[problem]: unknown set {p['set']!r}")
-    # a key the built problem would not read is an error, not a silent default
-    for key in sorted(given["problem"] & {"radius", "center"}):
-        if p.get("set") not in ("l2_ball", "l1_ball"):
-            errors.append(f"[problem]: {key} needs set = l2_ball or l1_ball")
-    if p.get("family") in _FAMILY_KEYS:
-        read = set(_FAMILY_KEYS[p["family"]])
-        for key in sorted(given["problem"] & set().union(*_FAMILY_KEYS.values()) - read):
-            errors.append(f"[problem]: family {p['family']} does not read {key}")
+    algorithm = out["solver"].get("algorithm")
+    for section, schema in _KEYS.items():
+        values = out[section]
+        for key, rules in schema.items():
+            value = values.get(key)
+            if value is None:
+                if rules.default is _REQUIRED:
+                    errors.append(f"[{section}]: {key} is required")
+            elif rules.allowed and value not in rules.allowed:
+                errors.append(f"[{section}]: unknown {key} {value!r}")
+            elif rules.limit and not rules.limit[0](value):
+                errors.append(f"[{section}]: {key} {rules.limit[1]}")
+        # a key the run would not read is an error, not a silent default
+        for key in given[section]:
+            if not schema[key].readers or (key == "beta" and algorithm == "restart"):
+                continue  # restart reads beta, its schedule's confidence, in every mode
+            selector, readers = schema[key].readers
+            choice = values.get(selector)
+            if schema[selector].default is not _REQUIRED:  # an absent set reads no key
+                if choice not in readers:
+                    errors.append(f"[{section}]: {key} needs {selector} = {' or '.join(readers)}")
+            elif choice in schema[selector].allowed and choice not in readers:
+                errors.append(f"[{section}]: {selector} {choice} does not read {key}")
 
-    if "algorithm" not in s:
-        errors.append("[solver]: algorithm is required")
-    elif s["algorithm"] not in _ALGORITHMS:
-        errors.append(f"[solver]: unknown algorithm {s['algorithm']!r}")
-    if s.get("schedule") not in _SCHEDULES:
-        errors.append(f"[solver]: unknown schedule {s.get('schedule')!r}")
-    if "start" in s and s["start"] not in ("center", "boundary"):
-        errors.append(f"[solver]: unknown start {s['start']!r}")
-    algorithm = s.get("algorithm")
-    if algorithm in _ALGORITHMS:
-        for key in sorted(given["solver"] & set(_ALGORITHM_KEYS)):
-            if algorithm not in _ALGORITHM_KEYS[key]:
-                errors.append(f"[solver]: algorithm {algorithm} does not read {key}")
-
-    mode = e.get("mode")
-    if mode is None:
-        errors.append("[experiment]: mode is required")
-    elif mode not in _MODES:
-        errors.append(f"[experiment]: unknown mode {mode!r}")
-    for section, key, ok, requirement in _RANGES:
-        value = out[section].get(key)
-        if value is not None and not ok(value):
-            errors.append(f"[{section}]: {key} {requirement}")
-    eps = e.get("epsilons")
-    if mode in _MODES:
-        for key in sorted(given["experiment"] & set(_MODE_KEYS)):
-            if key == "beta" and algorithm == "restart":
-                continue  # the restart schedule's confidence, in every mode
-            if mode not in _MODE_KEYS[key]:
-                errors.append(f"[experiment]: mode {mode} does not read {key}")
-        if eps and len(eps) > 1 and mode != "rate-curve":
-            errors.append(f"[experiment]: mode {mode} reads one epsilon, not {len(eps)}")
-    if mode in ("sample-complexity", "rate-curve") and not eps:
+    mode, eps = out["experiment"].get("mode"), out["experiment"].get("epsilons")
+    if mode in _MODES and mode != "rate-curve" and eps and len(eps) > 1:
+        errors.append(f"[experiment]: mode {mode} reads one epsilon, not {len(eps)}")
+    if mode in _SEARCHES and not eps:
         errors.append(f"[experiment]: mode {mode} needs an epsilons list")
-    elif s.get("algorithm") == "regularized_erm" and not eps:
+    elif algorithm == "regularized_erm" and not eps:
         # the regularizer weight follows the target epsilon
         errors.append("[experiment]: algorithm regularized_erm needs an epsilons list")
-    if eps:
-        if any(v <= 0 for v in eps):
-            errors.append("[experiment]: epsilons must be positive")
-        if mode == "rate-curve" and not all(a > b for a, b in zip(eps, eps[1:])):
-            errors.append("[experiment]: rate-curve epsilons must be strictly decreasing")
+    if mode == "rate-curve" and eps and not all(a > b for a, b in zip(eps, eps[1:])):
+        errors.append("[experiment]: rate-curve epsilons must be strictly decreasing")
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        problem=tuple(sorted(p.items())),
-        solver=tuple(sorted(s.items())),
-        experiment=tuple(sorted(e.items())),
-    )
+    return ExperimentConfig(**{section: tuple(sorted(values.items()))
+                               for section, values in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +268,19 @@ def build_solver(config: ExperimentConfig):
     s = config.section("solver")
     e = config.section("experiment")
     algo = s["algorithm"]
+    # each adapter states its own default start
+    start = {"start": s["start"]} if "start" in s else {}
     if algo == "sgd":
-        return harness.SgdSolver(schedule=s["schedule"], start=s.get("start", "center"))
+        return harness.SgdSolver(schedule=s["schedule"], **start)
     if algo == "restart":
-        return harness.RestartSolver(
-            beta=e["beta"], multiplier=s["multiplier"], start=s.get("start", "boundary")
-        )
+        return harness.RestartSolver(beta=e["beta"], multiplier=s["multiplier"], **start)
     if algo == "erm":
-        return harness.ErmSolver(start=s.get("start", "center"))
+        return harness.ErmSolver(**start)
     if algo == "regularized_erm":
         return harness.RegularizedErmSolver()
     if algo == "vr_erm":
         return harness.VrErmSolver()
-    return harness.BatchedAccelSolver(start=s.get("start", "center"))
+    return harness.BatchedAccelSolver(**start)
 
 
 # ---------------------------------------------------------------------------
@@ -358,31 +329,24 @@ def dispatch(config: ExperimentConfig, strict: bool = False, out: str | None = N
             f"single-run solver={solver.id} problem={problem.family} n={e['n']} "
             f"trials={e['trials']}{frac} median_gap={med:.6g} failures={failures} out={path}"
         )
-    elif mode == "sample-complexity":
-        epsilon = eps[0]
-        curve = harness.measure_curve(
-            solver, problem, [epsilon], e["beta"], trials=e["trials"],
-            max_n=e["max_n"], base_seed=seed + 10_000,
-        )
-        harness.write_report(curve, path)
-        (point,) = curve.points
-        flagged = point.saturated
-        print(
-            f"complexity solver={solver.id} problem={problem.family} epsilon={epsilon} "
-            f"N={point.n}{' SATURATED' if flagged else ''} out={path}"
-        )
-    elif mode == "rate-curve":
+    elif mode in _SEARCHES:
         curve = harness.measure_curve(
             solver, problem, eps, e["beta"], trials=e["trials"],
             max_n=e["max_n"], base_seed=seed + 10_000,
         )
         harness.write_report(curve, path)
         flagged = any(p.saturated for p in curve.points)
-        print(
-            f"rate-curve solver={solver.id} problem={problem.family} "
-            f"points={len(curve.points)} slope={curve.slope:.4f}"
-            f"{' SATURATED' if flagged else ''} out={path}"
-        )
+        if mode == "sample-complexity":
+            print(
+                f"complexity solver={solver.id} problem={problem.family} epsilon={eps[0]} "
+                f"N={curve.points[0].n}{' SATURATED' if flagged else ''} out={path}"
+            )
+        else:
+            print(
+                f"rate-curve solver={solver.id} problem={problem.family} "
+                f"points={len(curve.points)} slope={curve.slope:.4f}"
+                f"{' SATURATED' if flagged else ''} out={path}"
+            )
     else:
         raise InputError(f"unhandled mode {mode!r}")
 

@@ -413,7 +413,7 @@ def find_sample_complexity(
     hi <= _RESOLUTION * lo.  Every probe runs the same trials, seeds
     base_seed + 1 .. base_seed + trials, so probes differ only in N.
     """
-    if epsilon <= 0 or not 0 < beta < 1:
+    if not epsilon > 0 or not 0 < beta < 1:
         raise InputError("need epsilon > 0 and beta in (0, 1)")
     if max_n < 1:
         raise InputError("max_n must be >= 1")

@@ -530,6 +530,8 @@ class FiniteSumQuadratic(ProblemInstance):
     def from_seed(dimension: int, n_terms: int, spread: float, seed: int,
                   scales=None, set_=None, mean=None):
         """Deterministic Gaussian center pool around ``mean``."""
+        if n_terms < 1:
+            raise InputError("n_terms must be >= 1")
         u = _uniform_windows(seed, 0, n_terms, dimension, _CENTERS)[:, :dimension]
         base = np.zeros(dimension) if mean is None else np.asarray(mean, float)
         centers = base + spread * _std_normal(u)

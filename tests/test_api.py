@@ -19,10 +19,9 @@ assign it (``x.field = ...`` anywhere, or ``object.__setattr__(self,
 "field", ...)`` inside the class), or it carries an entry in ``KEEP_FIELDS``.
 Constructor calls are matched by class name alone.
 
-Config keys follow the same rule: every key of ``cli``'s three schema
-tables must be read somewhere in ``src/`` outside those tables and the
-``_RANGES`` table, which only validate it, or carry an entry in
-``KEEP_KEYS``.
+Config keys follow the same rule: every key of a section of ``cli``'s key
+table ``_KEYS`` must be read somewhere in ``src/`` outside that table, which
+only validates it, or carry an entry in ``KEEP_KEYS``.
 """
 
 import ast
@@ -55,7 +54,6 @@ KEEP_KEYS = {
 KEEP_FIELDS = {
     "SlidingParams.inner_budget": "a test caps the inner iterations",
 }
-_SCHEMA_TABLES = ("_PROBLEM_KEYS", "_SOLVER_KEYS", "_EXPERIMENT_KEYS")
 
 # module.function.parameter -> why it keeps a default nothing in src/ or
 # bench/ overrides
@@ -161,14 +159,10 @@ def test_errors_are_exported():
 def test_every_config_key_is_read():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "sastra").glob("*.py"))}
-    keys, tables = set(), set()
-    for node in trees["cli.py"].body:
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            name = node.targets[0].id
-            if name in _SCHEMA_TABLES:
-                keys.update(k.value for k in node.value.keys)
-            if name in _SCHEMA_TABLES + ("_RANGES",):
-                tables.update(id(n) for n in ast.walk(node))
+    (table,) = [node for node in trees["cli.py"].body if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "_KEYS"]
+    keys = {k.value for section in table.value.values for k in section.keys}
+    tables = {id(n) for n in ast.walk(table)}
     assert len(keys) > len(KEEP_KEYS)
     read = {node.value for tree in trees.values() for node in ast.walk(tree)
             if id(node) not in tables and isinstance(node, ast.Constant)

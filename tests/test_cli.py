@@ -3,9 +3,9 @@ import os
 import pytest
 
 from sastra.cli import (
-    _ALGORITHM_KEYS,
     _ALGORITHMS,
     _FAMILIES,
+    _KEYS,
     _SETS,
     ExperimentConfig,
     build_problem,
@@ -205,6 +205,86 @@ mode = dance
             parse_config(text.replace(old, new))
         assert err.value.errors == [error]
 
+    @pytest.mark.parametrize("n_terms", ["-1", "0"])
+    def test_n_terms_below_one_rejected(self, n_terms):
+        # -1 stopped the run with a numpy traceback, 0 with an empty-mean warning
+        text = MINIMAL.format(out="r.csv").replace(
+            "family = gaussian_mean", f"family = finite_sum_quadratic\nn_terms = {n_terms}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == ["[problem]: n_terms must be >= 1"]
+
+    @pytest.mark.parametrize("changes, errors", [
+        ("[problem]\nseed = 1\nseed = 2\n",
+         ["config syntax: While reading from '<string>' [line  3]: option 'seed' "
+          "in section 'problem' already exists"]),
+        ({"extra": {"x": "1"}}, ["unknown section [extra]"]),
+        ({"problem": None}, ["missing required section [problem]",
+                             "[problem]: family is required", "[problem]: dimension is required"]),
+        ({"solver": None}, ["missing required section [solver]",
+                            "[solver]: algorithm is required"]),
+        ({"experiment": None}, ["missing required section [experiment]",
+                                "[experiment]: mode is required"]),
+        ({"solver": {"warp": "9"}}, ["[solver]: unknown key 'warp'"]),
+        ({"experiment": {"trials": "many"}}, ["[experiment] trials: cannot parse 'many' as int"]),
+        ({"problem": {"sigma": "wide"}}, ["[problem] sigma: cannot parse 'wide' as float"]),
+        ({"experiment": {"epsilons": "0.1, small"}},
+         ["[experiment] epsilons: cannot parse '0.1, small' as floats"]),
+        ({"problem": {"sigma": "inf"}}, ["[problem] sigma: 'inf' is not finite"]),
+        ({"problem": {"family": None}}, ["[problem]: family is required"]),
+        ({"problem": {"dimension": None}}, ["[problem]: dimension is required"]),
+        ({"solver": {"algorithm": None}}, ["[solver]: algorithm is required"]),
+        ({"experiment": {"mode": None}}, ["[experiment]: mode is required"]),
+        ({"problem": {"family": "unobtainium"}}, ["[problem]: unknown family 'unobtainium'"]),
+        ({"problem": {"dimension": "0"}}, ["[problem]: dimension must be >= 1"]),
+        ({"problem": {"set": "torus"}}, ["[problem]: unknown set 'torus'"]),
+        ({"problem": {"radius": "2"}}, ["[problem]: radius needs set = l2_ball or l1_ball"]),
+        ({"problem": {"s": "3"}}, ["[problem]: family gaussian_mean does not read s"]),
+        ({"solver": {"algorithm": "adamw"}}, ["[solver]: unknown algorithm 'adamw'"]),
+        ({"solver": {"schedule": "fast"}}, ["[solver]: unknown schedule 'fast'"]),
+        ({"solver": {"start": "middle"}}, ["[solver]: unknown start 'middle'"]),
+        ({"solver": {"algorithm": "restart", "multiplier": "0"}},
+         ["[solver]: multiplier must be positive"]),
+        ({"solver": {"multiplier": "2"}}, ["[solver]: algorithm sgd does not read multiplier"]),
+        ({"experiment": {"mode": "dance"}}, ["[experiment]: unknown mode 'dance'"]),
+        ({"experiment": {"mode": "sample-complexity", "epsilons": "0.1", "beta": "1.5"}},
+         ["[experiment]: beta must lie in (0, 1)"]),
+        ({"experiment": {"trials": "0"}}, ["[experiment]: trials must be >= 1"]),
+        ({"experiment": {"n": "0"}}, ["[experiment]: n must be >= 1"]),
+        ({"experiment": {"mode": "sample-complexity", "epsilons": "0.1", "max_n": "0"}},
+         ["[experiment]: max_n must be >= 1"]),
+        ({"experiment": {"max_n": "9"}}, ["[experiment]: mode single-run does not read max_n"]),
+        ({"experiment": {"epsilons": "0.2, 0.1"}},
+         ["[experiment]: mode single-run reads one epsilon, not 2"]),
+        ({"experiment": {"mode": "rate-curve"}},
+         ["[experiment]: mode rate-curve needs an epsilons list"]),
+        ({"solver": {"algorithm": "regularized_erm"}},
+         ["[experiment]: algorithm regularized_erm needs an epsilons list"]),
+        ({"experiment": {"epsilons": "-0.1"}}, ["[experiment]: epsilons must be positive"]),
+        ({"experiment": {"mode": "rate-curve", "epsilons": "0.1, 0.2"}},
+         ["[experiment]: rate-curve epsilons must be strictly decreasing"]),
+    ])
+    def test_every_message(self, changes, errors):
+        # one config per message parse_config can emit, each from a valid
+        # base; a missing section also lacks its required keys
+        if isinstance(changes, str):
+            text = changes
+        else:
+            sections = {"problem": {"family": "gaussian_mean", "dimension": "1"},
+                        "solver": {"algorithm": "sgd"}, "experiment": {"mode": "single-run"}}
+            for section, keys in changes.items():
+                if keys is None:
+                    del sections[section]
+                else:
+                    sections.setdefault(section, {}).update(keys)
+            # a key set to None is left out
+            text = "".join(f"[{section}]\n" + "".join(
+                f"{k} = {v}\n" for k, v in keys.items() if v is not None)
+                for section, keys in sections.items())
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == errors
+
     def test_ball_keys_accepted_with_a_ball(self):
         text = MINIMAL.format(out="r.csv").replace(
             "dimension = 1", "dimension = 3\nset = l1_ball\nradius = 2.0\ncenter = 0.5, 0, 0")
@@ -270,7 +350,7 @@ class TestConfigMatrix:
     def test_builds_or_fails_cleanly(self, algorithm, start):
         escaped, built = [], 0
         # regularized_erm and vr_erm read no start; their rows set none
-        start = f"start = {start}" if algorithm in _ALGORITHM_KEYS["start"] else ""
+        start = f"start = {start}" if algorithm in _KEYS["solver"]["start"].readers[1] else ""
         for family in _FAMILIES:
             for set_ in _SETS:
                 # soft_svm needs a nonzero concept
@@ -420,6 +500,14 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "nope" in err
+
+    def test_n_terms_below_one_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "terms.ini"
+        cfg_path.write_text(MINIMAL.format(out=tmp_path / "o.csv").replace(
+            "family = gaussian_mean", "family = finite_sum_quadratic\nn_terms = -1"),
+            encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "config error: [problem]: n_terms must be >= 1\n"
 
     def test_soft_svm_without_concept(self, tmp_path, capsys):
         # the all-zero default concept graded every trial with gap 0

@@ -555,6 +555,17 @@ class TestFindSampleComplexity:
         with pytest.raises(InputError):
             find_sample_complexity(PowerLawSolver(), gaussian(), 0.1, 0.3, max_n=0)
 
+    @pytest.mark.parametrize("search", [
+        lambda eps: find_sample_complexity(PowerLawSolver(), gaussian(), eps, 0.3,
+                                           trials=5, max_n=64),
+        lambda eps: measure_curve(PowerLawSolver(), gaussian(), [eps], 0.3,
+                                  trials=5, max_n=64),
+    ], ids=["find_sample_complexity", "measure_curve"])
+    def test_nan_epsilon_rejected(self, search):
+        # a nan passed "epsilon <= 0" and the search probed up to max_n
+        with pytest.raises(InputError):
+            search(math.nan)
+
     def test_bisection_stays_above_the_last_failed_probe(self):
         # max_n clamps the doubling at 100, so the bracket is (64, 100]
         res = find_sample_complexity(StepSolver(70), gaussian(), 0.1, 0.3, trials=1,

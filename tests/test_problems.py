@@ -487,6 +487,11 @@ class TestConstruction:
         p = Lasso(coefficients=[1.0, 0.0], sigma=0.1, feasible_set=unconstrained(2))
         assert p.family == "lasso"
 
+    @pytest.mark.parametrize("n_terms", [-1, 0])
+    def test_from_seed_needs_a_term(self, n_terms):
+        with pytest.raises(InputError, match="n_terms must be >= 1"):
+            FiniteSumQuadratic.from_seed(3, n_terms, 1.0, seed=1)
+
     def test_from_seed_centers_hit_requested_mean(self):
         p = FiniteSumQuadratic.from_seed(3, 10, 2.0, seed=9, mean=[1.0, 2.0, 3.0])
         np.testing.assert_allclose(p.x_star, [1.0, 2.0, 3.0], atol=1e-12)
