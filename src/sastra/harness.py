@@ -13,8 +13,12 @@ included.  A trial's wall_ms is its block's wall time divided by T.
 Sample complexity N(eps, beta) is located by doubling followed by geometric
 bisection.  Every probe of a search and every point of a curve runs the same
 trials (common random numbers): trial t draws from seed base+t throughout, so
-its data at N is a prefix of its data at 2N.  Rate exponents come from least
-squares in log-log space.
+its data at N is a prefix of its data at 2N.  So each search, and each
+curve across all its points, keeps one problems.PrefixStore: an offline
+trial draws the first rows of its stream once and takes them from the store
+at later probes, up to a byte cap.  The store lives only as long as the call,
+and the results are the same bit for bit as drawing every probe afresh.
+Rate exponents come from least squares in log-log space.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NotApplicableError, SastraError
-from .problems import ProblemInstance
+from .problems import PrefixStore, ProblemInstance
 from .sa_solvers import (
     AdaGrad,
     ConstantHorizon,
@@ -136,8 +140,10 @@ class ComplexityResult:
 
 
 # ---------------------------------------------------------------------------
-# solver adapters: (problem, sample budget, T streams, epsilon) -> T outcomes,
-# each the trial's point or the error that failed it.  A solver parameter
+# solver adapters: (problem, sample budget, T streams, epsilon, prefix store)
+# -> T outcomes, each the trial's point or the error that failed it.  The
+# offline adapters draw their n samples through saa.build_empirical and the
+# store; the online ones draw as they step and ignore it.  A solver parameter
 # that is not a field is fixed here or follows from the problem and epsilon.
 # No adapter reads the optimum: run_trials alone grades the points.
 # ---------------------------------------------------------------------------
@@ -206,7 +212,7 @@ class SgdSolver:
             return Decreasing(R=radius, M=c.M_p)
         raise InputError(f"unknown schedule {self.schedule!r}")
 
-    def run(self, problem, n, streams, epsilon=None) -> list:
+    def run(self, problem, n, streams, epsilon=None, prefixes=None) -> list:
         x0 = _start_point(problem, self.start)
         trace, _ = sgd_run(problem, self._make_schedule(problem, n), n, list(streams), x0)
         return _row_outcomes(trace)
@@ -224,7 +230,7 @@ class RestartSolver:
     def id(self) -> str:
         return "restart"
 
-    def run(self, problem, n, streams, epsilon=None) -> list:
+    def run(self, problem, n, streams, epsilon=None, prefixes=None) -> list:
         x0 = _start_point(problem, self.start)
         trace, _ = restarted_budget_run(
             problem, n, self.beta, _radius(problem), list(streams), x0,
@@ -244,11 +250,11 @@ class ErmSolver:
     def id(self) -> str:
         return "erm"
 
-    def run(self, problem, n, streams, epsilon=None) -> list:
+    def run(self, problem, n, streams, epsilon=None, prefixes=None) -> list:
         x0 = _start_point(problem, self.start)
 
         def solve(stream):
-            emp, _ = saa.build_empirical(problem, n, stream)
+            emp, _ = saa.build_empirical(problem, n, stream, prefixes=prefixes)
             result = saa.exact_erm(emp, x0) or saa.solve_erm(emp, _ERM_DELTA, x0=x0)
             return result.point
 
@@ -263,11 +269,11 @@ class RegularizedErmSolver:
     def id(self) -> str:
         return "regularized_erm"
 
-    def run(self, problem, n, streams, epsilon=None) -> list:
+    def run(self, problem, n, streams, epsilon=None, prefixes=None) -> list:
         if epsilon is None:
             raise InputError("regularized pipeline needs a target epsilon")
         return _each_stream(streams, lambda stream: saa.regularized_pipeline(
-            problem, epsilon, n, stream)[0].point)
+            problem, epsilon, n, stream, prefixes)[0].point)
 
 
 @dataclass(frozen=True)
@@ -278,9 +284,9 @@ class VrErmSolver:
     def id(self) -> str:
         return "vr_erm"
 
-    def run(self, problem, n, streams, epsilon=None) -> list:
+    def run(self, problem, n, streams, epsilon=None, prefixes=None) -> list:
         def solve(stream):
-            emp, stream = saa.build_empirical(problem, n, stream)
+            emp, stream = saa.build_empirical(problem, n, stream, prefixes=prefixes)
             return saa.vr_solve(emp, _ERM_DELTA, _VR_EPOCHS, stream).point
 
         return _each_stream(streams, solve)
@@ -296,7 +302,7 @@ class BatchedAccelSolver:
     def id(self) -> str:
         return "batched_accel"
 
-    def run(self, problem, n, streams, epsilon=None) -> list:
+    def run(self, problem, n, streams, epsilon=None, prefixes=None) -> list:
         c = problem.constants()
         x0 = _start_point(problem, self.start)
         radius = _radius(problem)
@@ -330,19 +336,21 @@ def run_trials(
     trials: int,
     base_seed: int,
     epsilon: float | None = None,
+    prefixes: PrefixStore | None = None,
 ) -> list[TrialResult]:
     """T independent trials with seeds base+1..base+T, run as one block.
 
     The solver gets the T streams at once, solver.run(problem, n, streams,
-    epsilon), and returns T outcomes in stream order: a point of shape (n,),
-    or the exception that failed that trial.  A trial fails on a sastra
-    error, a floating-point error or a linear algebra error, raised for it
-    alone or by the whole run (which fails every trial), and is recorded
-    with its diagnostic; any other exception is a bug and propagates.
-    Trials share no state, so trial t gives the same result as a one-trial
-    run at seed base+t: results do not depend on how trials are batched.
-    Each trial's wall_ms is the block's wall time (solving and grading)
-    divided by T.
+    epsilon, prefixes=prefixes), with the prefix store of the search that
+    runs the trials (or None), and returns T outcomes in stream order: a
+    point of shape (n,), or the exception that failed that trial.  A trial
+    fails on a sastra error, a floating-point error or a linear algebra
+    error, raised for it alone or by the whole run (which fails every
+    trial), and is recorded with its diagnostic; any other exception is a
+    bug and propagates.  Trials share no state, so trial t gives the same
+    result as a one-trial run at seed base+t: results do not depend on how
+    trials are batched.  Each trial's wall_ms is the block's wall time
+    (solving and grading) divided by T.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -350,7 +358,8 @@ def run_trials(
     seeds = [base_seed + t for t in range(1, trials + 1)]
     t0 = time.perf_counter()
     try:
-        outcomes = solver.run(problem, n, [problem.stream(s) for s in seeds], epsilon)
+        outcomes = solver.run(problem, n, [problem.stream(s) for s in seeds], epsilon,
+                              prefixes=prefixes)
     except _TRIAL_ERRORS as exc:
         outcomes = [exc] * trials
     gaps = []
@@ -404,6 +413,7 @@ def find_sample_complexity(
     max_n: int = 1_000_000,
     base_seed: int = 10_000,
     n_start: int = 1,
+    prefixes: PrefixStore | None = None,
 ) -> ComplexityResult:
     """Smallest probed N with empirical success fraction >= 1 - beta.
 
@@ -412,15 +422,25 @@ def find_sample_complexity(
     from the last failed probe to the first passing one, geometrically until
     hi <= _RESOLUTION * lo.  Every probe runs the same trials, seeds
     base_seed + 1 .. base_seed + trials, so probes differ only in N.
+
+    All probes share one PrefixStore: the given one, else one made for this
+    call and dropped when it returns.  An offline solver's trial draws the
+    first rows of its stream once and takes them from the store at later
+    probes, so only rows it has not drawn yet, or that lie beyond the
+    store's byte cap, are drawn again.  Every result is the same, bit for
+    bit, as without the store.
     """
     if not epsilon > 0 or not 0 < beta < 1:
         raise InputError("need epsilon > 0 and beta in (0, 1)")
     if max_n < 1:
         raise InputError("max_n must be >= 1")
+    if prefixes is None:
+        prefixes = PrefixStore(problem, trials)
     probes = []
 
     def succeeds(n: int) -> bool:
-        results = run_trials(solver, problem, n, trials, base_seed, epsilon=epsilon)
+        results = run_trials(solver, problem, n, trials, base_seed, epsilon=epsilon,
+                             prefixes=prefixes)
         k = sum(1 for r in results if not r.failed and r.gap <= epsilon)
         probes.append((n, k, trials))
         return k / trials >= 1.0 - beta
@@ -459,15 +479,17 @@ def measure_curve(
     Each tighter epsilon starts its doubling search at the previous measured
     N, which both warm-starts the probes and makes the curve monotone by
     construction.  Every point runs the same trials, seeds base_seed + 1 ..
-    base_seed + trials.
+    base_seed + trials, and every probe of every point draws through one
+    PrefixStore that lives as long as this call (see find_sample_complexity).
     """
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
     points = []
     n_start = 1
+    prefixes = PrefixStore(problem, trials)
     for eps in eps_sorted:
         res = find_sample_complexity(
             solver, problem, eps, beta, trials=trials, max_n=max_n,
-            base_seed=base_seed, n_start=n_start,
+            base_seed=base_seed, n_start=n_start, prefixes=prefixes,
         )
         k_at = next((k for (n, k, t) in reversed(res.probes) if n == res.n), 0)
         points.append(CurvePoint(eps, beta, res.n, trials, k_at, res.saturated))

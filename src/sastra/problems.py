@@ -11,7 +11,10 @@ key (seed, salt), two exact 64-bit words; counter words 0-1 count blocks, word
 of FiniteSumQuadratic.from_seed.  Value i of a stream is a pure function of
 (seed, kind, i) on every platform, and distinct (seed, kind) streams are
 disjoint by construction.  Normals come from fixed-consumption uniforms via
-the inverse CDF, which keeps the window arithmetic exact.  Each thread sets
+the inverse CDF, which keeps the window arithmetic exact, and every family
+transforms them row by row (a response or label takes one dot product per
+row, geometry.row_dot), so a sample row has the same bits in every block
+that holds it; PrefixStore relies on that.  Each thread sets
 the whole state (key, counter, output buffer) of its one Philox generator
 before every draw, so no state carries from one draw to the next.
 """
@@ -32,6 +35,7 @@ from .geometry import FeasibleSet, contains, row_dot
 __all__ = [
     "ProblemConstants",
     "SampleStream",
+    "PrefixStore",
     "ProblemInstance",
     "GaussianMean",
     "RidgeRegression",
@@ -48,6 +52,9 @@ _MASK64 = (1 << 64) - 1
 _KEY_SALT = 0x9E3779B97F4A8000
 # Stream kinds, carried in Philox counter word 3.
 _SAMPLES, _VALUES, _CENTERS = 0, 1, 2
+# Bytes of sample rows one PrefixStore holds: 3 MiB keeps ridge_erm's peak RSS
+# within 4 MB of drawing every probe afresh.
+_PREFIX_BYTES = 3 << 20
 
 
 def _uniform_windows(seed: int, first_sample: int, count: int, words: int, kind: int) -> np.ndarray:
@@ -164,6 +171,49 @@ class SampleStream:
         u = _uniform_windows(self.base_seed, self.counter, count, words, _SAMPLES)
         rows = p.rows_from_uniforms(u[:, :words])
         return rows, SampleStream(p, self.base_seed, self.counter + count)
+
+
+class PrefixStore:
+    """The first rows of the T trial streams of one problem, drawn once.
+
+    draw(stream, count) returns what stream.draw_block(count) returns, bit
+    for bit.  A sample is a pure function of (seed, index), so the rows
+    [0, m) of a seed held from an earlier call are served again and only
+    rows [m, count) are drawn, by SampleStream(problem, seed, m).draw_block.
+    At most ``trials`` seeds are held, each up to _PREFIX_BYTES // (trials *
+    sample_width * 8) rows; rows above that are drawn again at every call,
+    so the cap bounds memory and changes no value.  Served rows are
+    read-only.  A stream of another problem, or one not at counter 0, is
+    drawn directly.
+    """
+
+    def __init__(self, problem: "ProblemInstance", trials: int):
+        if trials < 1:
+            raise InputError("trials must be >= 1")
+        self._problem = problem
+        self._trials = trials
+        self._cap_rows = _PREFIX_BYTES // (trials * problem.sample_width * 8)
+        self._held: dict[int, np.ndarray] = {}  # seed -> read-only first rows
+
+    def draw(self, stream: SampleStream, count: int):
+        """Return (rows of shape (count, sample_width), advanced stream)."""
+        p = self._problem
+        if stream.problem is not p or stream.counter != 0:
+            return stream.draw_block(count)
+        seed = stream.base_seed
+        held = self._held.get(seed)
+        m = 0 if held is None else held.shape[0]
+        if held is not None and 0 <= count <= m:
+            return held[:count], SampleStream(p, seed, count)
+        tail, end = SampleStream(p, seed, m).draw_block(count - m)
+        rows = tail if held is None else np.concatenate([held, tail])
+        keep = min(count, self._cap_rows)
+        if keep > m and (held is not None or len(self._held) < self._trials):
+            kept = rows[:keep].copy() if keep < count else rows
+            kept.setflags(write=False)
+            self._held[seed] = kept
+        rows.setflags(write=False)
+        return rows, end
 
 
 class ProblemInstance:
@@ -364,7 +414,7 @@ class RidgeRegression(ProblemInstance):
         nrm = np.sqrt(np.einsum("ij,ij->i", z, z))
         a = z * (math.sqrt(n) / nrm)[:, None]
         noise = self.sigma * _trunc3_normal(u[:, n])
-        y = a @ self.coefficients + noise
+        y = row_dot(a, self.coefficients)[:, 0] + noise
         return np.hstack([a, y[:, None]])
 
     @property
@@ -619,7 +669,7 @@ class SoftSVM(ProblemInstance):
         z = _std_normal(u[:, :n])
         nrm = np.sqrt(np.einsum("ij,ij->i", z, z))
         a = z / nrm[:, None]
-        y = np.where(u[:, n] < _label_prob(a @ self.concept), 1.0, -1.0)
+        y = np.where(u[:, n] < _label_prob(row_dot(a, self.concept)[:, 0]), 1.0, -1.0)
         return np.hstack([a, y[:, None]])
 
     def batch_losses(self, x, rows):

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .geometry import FeasibleSet, project
-from .problems import ProblemInstance, SampleStream, uniform_values
+from .problems import PrefixStore, ProblemInstance, SampleStream, uniform_values
 
 __all__ = [
     "HalfSqL2",
@@ -163,12 +163,23 @@ class EmpiricalObjective:
 
 
 def build_empirical(
-    problem: ProblemInstance, n: int, stream: SampleStream, composite=None
+    problem: ProblemInstance,
+    n: int,
+    stream: SampleStream,
+    composite=None,
+    prefixes: PrefixStore | None = None,
 ) -> tuple[EmpiricalObjective, SampleStream]:
-    """Draw and freeze exactly n samples into an empirical objective."""
+    """Draw and freeze exactly n samples into an empirical objective.
+
+    This is where the offline solvers draw.  With a prefix store, the rows
+    it already holds for the stream are served from it and only the rest
+    are drawn; the rows, and the returned stream advanced by n, are the same
+    bit for bit as without it.
+    """
     if n < 1:
         raise InputError("n must be >= 1")
-    rows, stream = stream.draw_block(n)
+    rows, stream = (stream.draw_block(n) if prefixes is None
+                    else prefixes.draw(stream, n))
     return EmpiricalObjective(problem, rows, composite), stream
 
 
@@ -488,6 +499,7 @@ def regularized_pipeline(
     epsilon: float,
     n: int,
     stream: SampleStream,
+    prefixes: PrefixStore | None = None,
 ) -> tuple[ErmResult, SampleStream]:
     """Tikhonov-regularized ERM for convex problems on bounded sets.
 
@@ -511,7 +523,7 @@ def regularized_pipeline(
     if not math.isfinite(c.M_p):
         raise NotApplicableError("pipeline needs a finite Lipschitz bound M_p")
     mu, delta = tikhonov_parameters(epsilon, c.M_p, r2)
-    emp, stream = build_empirical(problem, n, stream, HalfSqL2(mu, set_.center))
+    emp, stream = build_empirical(problem, n, stream, HalfSqL2(mu, set_.center), prefixes)
     result = exact_erm(emp) or solve_erm(emp, delta)
     return result, stream
 

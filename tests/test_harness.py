@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from sastra.errors import DegenerateInputError, InputError
 from sastra.geometry import FeasibleSet
-from sastra import saa_solvers as saa
+from sastra import problems, saa_solvers as saa
 from sastra import harness
 from sastra.harness import (
     BatchedAccelSolver,
@@ -32,6 +34,7 @@ from sastra.problems import (
     FiniteSumQuadratic,
     GaussianMean,
     NormPower,
+    PrefixStore,
     ProblemInstance,
     RidgeRegression,
     SampleStream,
@@ -51,7 +54,7 @@ class PowerLawSolver:
     def id(self) -> str:
         return "synthetic"
 
-    def run(self, problem, n, streams, epsilon=None):
+    def run(self, problem, n, streams, epsilon=None, prefixes=None):
         # place the point at exactly the distance giving the target gap
         gap = self.C / math.sqrt(n)
         return [problem.x_star + math.sqrt(gap) for _ in streams]
@@ -63,7 +66,7 @@ class NeverSolver:
     def id(self) -> str:
         return "never"
 
-    def run(self, problem, n, streams, epsilon=None):
+    def run(self, problem, n, streams, epsilon=None, prefixes=None):
         return [problem.x_star + 100.0 for _ in streams]
 
 
@@ -77,7 +80,7 @@ class StepSolver:
     def id(self) -> str:
         return "step"
 
-    def run(self, problem, n, streams, epsilon=None):
+    def run(self, problem, n, streams, epsilon=None, prefixes=None):
         return [problem.x_star + (0.0 if n >= self.need else 100.0) for _ in streams]
 
 
@@ -125,7 +128,7 @@ class TestRunTrials:
             def id(self):
                 return "boom"
 
-            def run(self, problem, n, streams, epsilon=None):
+            def run(self, problem, n, streams, epsilon=None, prefixes=None):
                 raise DegenerateInputError("synthetic failure")
 
         res = run_trials(Exploding(), p, 10, 3, 0)
@@ -140,7 +143,7 @@ class TestRunTrials:
             def id(self):
                 return "buggy"
 
-            def run(self, problem, n, streams, epsilon=None):
+            def run(self, problem, n, streams, epsilon=None, prefixes=None):
                 raise TypeError("synthetic bug")
 
         with pytest.raises(TypeError, match="synthetic bug"):
@@ -603,7 +606,7 @@ class RecordingSolver(PowerLawSolver):
 
     calls: list = field(default_factory=list)
 
-    def run(self, problem, n, streams, epsilon=None):
+    def run(self, problem, n, streams, epsilon=None, prefixes=None):
         self.calls.append((n, tuple(s.base_seed for s in streams)))
         return super().run(problem, n, streams, epsilon)
 
@@ -622,6 +625,109 @@ class TestCommonSeeds:
         measure_curve(solver, gaussian(), [0.4, 0.2, 0.1], 0.3, trials=3, base_seed=90)
         assert len({n for n, _seeds in solver.calls}) > 10
         assert {seeds for _n, seeds in solver.calls} == {(91, 92, 93)}
+
+
+def _offline_searches():
+    """(solver, problem, epsilons) for every offline adapter: erm on ridge on
+    free space and on an l2 ball and on gaussian_mean, and regularized_erm
+    and vr_erm on a bounded set."""
+    free8, ball8 = FeasibleSet.unconstrained(8), FeasibleSet.l2_ball(8, 1.0)
+    coefficients = np.linspace(-0.5, 0.5, 8)
+    quadratic = FiniteSumQuadratic.from_seed(3, 12, 1.0, seed=5, scales=[1.0, 2.0, 4.0],
+                                             set_=FeasibleSet.l2_ball(3, 1.0))
+    yield pytest.param(ErmSolver(), RidgeRegression(coefficients, 1.0, free8), (0.4, 0.2),
+                       id="erm-ridge-free")
+    yield pytest.param(ErmSolver(), RidgeRegression(coefficients, 1.0, ball8), (0.4, 0.2),
+                       id="erm-ridge-l2")
+    yield pytest.param(ErmSolver(), GaussianMean([0.2, 0.3, 0.5], 1.0, FeasibleSet.unconstrained(3)),
+                       (0.2, 0.1), id="erm-gaussian_mean-free")
+    yield pytest.param(RegularizedErmSolver(), quadratic, (0.4, 0.2), id="regularized_erm-l2")
+    yield pytest.param(VrErmSolver(), quadratic, (0.2, 0.1), id="vr_erm-l2")
+
+
+class TestPrefixStoreSearch:
+    """The store changes no result: not without a cap, not at a cap the
+    search crosses, not at its real value, and not at 0, where it holds nothing."""
+
+    TRIALS = 6
+
+    def _caps(self, problem):
+        row = self.TRIALS * problem.sample_width * 8
+        return [0, 20 * row, problems._PREFIX_BYTES, 1 << 62]
+
+    @pytest.mark.parametrize("solver, problem, epsilons", list(_offline_searches()))
+    def test_every_cap_gives_the_same_search(self, solver, problem, epsilons, monkeypatch):
+        searches, curves = [], []
+        for cap in self._caps(problem):
+            monkeypatch.setattr(problems, "_PREFIX_BYTES", cap)
+            searches.append(find_sample_complexity(solver, problem, epsilons[-1], 0.3,
+                                                   trials=self.TRIALS, base_seed=300))
+            curve = measure_curve(solver, problem, epsilons, 0.3, trials=self.TRIALS,
+                                  base_seed=300)
+            curves.append((curve.points, curve.slope))
+        assert all(s == searches[0] for s in searches)
+        assert all(c == curves[0] for c in curves)
+        # each probe's count is that of run_trials run alone at its n
+        probes = searches[0].probes
+        assert len(probes) > 4
+        for n, k, t in probes:
+            results = run_trials(solver, problem, n, t, 300, epsilon=epsilons[-1])
+            assert k == sum(1 for r in results if not r.failed and r.gap <= epsilons[-1])
+
+    @pytest.mark.parametrize("solver, problem, epsilons", list(_offline_searches()))
+    def test_gaps_with_a_shared_store_are_bit_identical(self, solver, problem, epsilons,
+                                                        monkeypatch):
+        monkeypatch.setattr(problems, "_PREFIX_BYTES", 20 * self.TRIALS * problem.sample_width * 8)
+        store = PrefixStore(problem, self.TRIALS)
+        for n in (16, 4, 40, 21, 40, 9):
+            shared = run_trials(solver, problem, n, self.TRIALS, 300, epsilon=epsilons[-1],
+                                prefixes=store)
+            alone = run_trials(solver, problem, n, self.TRIALS, 300, epsilon=epsilons[-1])
+            assert [(r.seed, r.gap, r.failed, r.diagnostic) for r in shared] == [
+                (r.seed, r.gap, r.failed, r.diagnostic) for r in alone]
+        assert store._held
+
+
+class TestPrefixStoreMemory:
+    # the RIDGE_ERM benchmark config: T = 50 trials, rows 21 floats wide;
+    # its search probes N = 512 and 1024, past the cap's 374 rows per trial
+    PROBLEM = RidgeRegression(np.linspace(-0.5, 0.5, 20), 1.0, FeasibleSet.unconstrained(20))
+
+    def _recording(self, monkeypatch):
+        stores, held = [], []
+
+        class Recording(PrefixStore):
+            def __init__(self, problem, trials):
+                super().__init__(problem, trials)
+                stores.append(weakref.ref(self))
+
+            def draw(self, stream, count):
+                out = super().draw(stream, count)
+                held.append(sum(a.nbytes for a in self._held.values()))
+                return out
+
+        monkeypatch.setattr(harness, "PrefixStore", Recording)
+        return stores, held
+
+    def test_store_stays_under_its_cap_and_dies_with_the_search(self, monkeypatch):
+        stores, held = self._recording(monkeypatch)
+        gc.disable()  # no cycle collection: the store must be freed by refcount
+        try:
+            res = find_sample_complexity(ErmSolver(), self.PROBLEM, 0.05, 0.1, trials=50,
+                                         base_seed=12_000)
+            assert max(n for n, _, _ in res.probes) == 1024
+            assert len(stores) == 1 and stores[0]() is None
+        finally:
+            gc.enable()
+        cap = problems._PREFIX_BYTES
+        assert 0 < max(held) <= cap
+        assert max(held) == 50 * (cap // (50 * 21 * 8)) * 21 * 8  # full, not over
+
+    def test_one_store_per_curve_and_none_outlives_it(self, monkeypatch):
+        stores, held = self._recording(monkeypatch)
+        measure_curve(ErmSolver(), self.PROBLEM, [0.2, 0.1], 0.1, trials=50, base_seed=12_000)
+        assert len(stores) == 1 and stores[0]() is None
+        assert 0 < max(held) <= problems._PREFIX_BYTES
 
 
 class TestMeasureCurve:

@@ -4,8 +4,12 @@ import math
 import sys
 import threading
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sastra.errors import InputError, PreconditionError
 from sastra.geometry import FeasibleSet, project
@@ -14,6 +18,7 @@ from sastra.problems import (
     GaussianMean,
     Lasso,
     NormPower,
+    PrefixStore,
     RidgeRegression,
     SoftSVM,
     TRUNC3_VARIANCE,
@@ -143,17 +148,19 @@ def _golden_problem(family):
 
 
 # sha256 of the float64 bytes of draw_block(count) after `counter` samples;
-# any change to a sample bit of any family fails here
+# any change to a sample bit of any family fails here.  Ridge and lasso
+# responses are one dot product per row (geometry.row_dot), so a row's bits
+# do not depend on the block it is drawn in.
 _GOLDEN_BLOCKS = {
     ("gaussian_mean", 1, 0, 1): "2fc32736830f3aa9b81de9e248a1010ec992d3c1de7e36d9aaa045a80d2847bf",
     ("gaussian_mean", 2000, 5, 50): "1243950f8554f609334da835d6b4408365f172ab7d5e5aa0e8e41ee7abb2a301",
     ("gaussian_mean", 2**53 - 1, 1000, 17): "3052198824f4c9d2c29e39851d1da6f5bad72355fd5b622b34b4749374d69d82",
     ("ridge", 1, 0, 1): "4036d4d93f3de329ad6c5c2366b67dbecf18041f3a3076baed175aab9bae1487",
-    ("ridge", 2000, 5, 50): "2c9333c1c39417d6fa0cf174fa7d96b78b3d6b10b0f03dab5eca458c21e81048",
-    ("ridge", 2**53 - 1, 1000, 17): "726cf06461f9bf3eb2f93d21d1f42f8a0ee4f9503f7fbcdf6c8aea4a8f5716a5",
+    ("ridge", 2000, 5, 50): "a2fa500f38605eed779b0769fab019ea1b243c80e511986888a50a44ec15aa15",
+    ("ridge", 2**53 - 1, 1000, 17): "e3066f4e75d92c3ff08f338d27e9905c300a5f691ceedb37465e5df8f34e9534",
     ("lasso", 1, 0, 1): "30722b2b6afea7db9c5f725ef2e549d7008749683e88869bb5135e632de6a9dc",
-    ("lasso", 2000, 5, 50): "957ac6bb9ccd3bc960959e26cb8d88af54ab450bd9bb318852c8d67733cbf683",
-    ("lasso", 2**53 - 1, 1000, 17): "66cbb387b5cc9d8f84cd124559758c1b5b15974c58c9a7b369bd07c9c782fe30",
+    ("lasso", 2000, 5, 50): "623395a5e2eae22f877febd6ac8802533a2fe2d8ed1cdfef0bd6e38f47473bd0",
+    ("lasso", 2**53 - 1, 1000, 17): "d311430af14a10212ff432035527b256aad84e7c9f579186df2f300ef1ac6ffd",
     ("soft_svm", 1, 0, 1): "8b5bbe2c812f971757459fde959aaeca5247967a347bc09b2b90da763de710f6",
     ("soft_svm", 2000, 5, 50): "b3b92ea7340780050c5e9008f577ef50d72171fb6f9e5fb125e57a4d7d13a77e",
     ("soft_svm", 2**53 - 1, 1000, 17): "74afa2a3641eb2bec65d1dcc931edc5bde8148a4afe2b0e00526e8aaf30d0675",
@@ -175,6 +182,92 @@ def test_draw_block_golden_bits(family, seed, counter, count):
     digest = hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
     assert digest == _GOLDEN_BLOCKS[family, seed, counter, count]
     assert stream.counter == counter + count
+
+
+# ridge and soft_svm rows are n + 1 wide, gaussian_mean's are n wide, and a
+# finite_sum_quadratic row is a centre picked by one uniform
+_STORE_PROBLEMS = {
+    "ridge": RidgeRegression(coefficients=np.linspace(-0.5, 0.5, 20), sigma=1.0,
+                             feasible_set=FeasibleSet.unconstrained(20)),
+    "soft_svm": SoftSVM(concept=[2.0, 0.0, 1.0]),
+    "gaussian_mean": GaussianMean(mean=[0.3, -0.2], sigma=1.5,
+                                  feasible_set=FeasibleSet.unconstrained(2)),
+    "finite_sum_quadratic": FiniteSumQuadratic.from_seed(3, 7, 1.0, seed=5),
+}
+
+
+class TestPrefixStore:
+    @pytest.mark.parametrize("family", sorted(_STORE_PROBLEMS))
+    @settings(max_examples=40, deadline=None)
+    @given(calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 300)),
+                          min_size=1, max_size=10),
+           trials=st.integers(1, 3), cap_rows=st.integers(0, 200))
+    def test_serves_fresh_draws_bit_for_bit(self, family, calls, trials, cap_rows):
+        # any order of counts, repeats included, on both sides of a small cap
+        p = _STORE_PROBLEMS[family]
+        cap = cap_rows * trials * p.sample_width * 8
+        with mock.patch.object(problems, "_PREFIX_BYTES", cap):
+            store = PrefixStore(p, trials)
+        for t, count in calls:
+            stream = p.stream(100 + t)
+            rows, end = store.draw(stream, count)
+            fresh, fresh_end = stream.draw_block(count)
+            assert rows.shape == fresh.shape == (count, p.sample_width)
+            assert rows.tobytes() == fresh.tobytes()
+            assert end == fresh_end and end.counter == count
+            assert not rows.flags.writeable
+            if count:
+                with pytest.raises(ValueError):
+                    rows[0, 0] = 0.0
+            held = store._held
+            assert len(held) <= trials
+            assert sum(a.nbytes for a in held.values()) <= cap
+            assert all(a.shape[0] <= cap_rows and not a.flags.writeable
+                       for a in held.values())
+
+    @pytest.mark.parametrize("problem", [
+        *_STORE_PROBLEMS.values(),
+        Lasso(coefficients=np.linspace(-0.5, 0.5, 20), sigma=0.5,
+              feasible_set=FeasibleSet.unconstrained(20)),
+        SoftSVM(concept=np.linspace(0.1, 1.0, 10)),
+        NormPower(s=1.5, sigma=1.0, dim=10),
+    ], ids=lambda p: f"{p.family}-{p.sample_width}")
+    def test_a_sample_is_a_function_of_seed_and_index(self, problem):
+        # what makes the store exact: row i is the same in every block that
+        # holds it, whatever the block's start and length
+        for seed in range(8):
+            full, _ = problem.stream(seed).draw_block(300)
+            for n in (1, 2, 3, 5, 17, 64, 255):
+                head, stream = problem.stream(seed).draw_block(n)
+                tail, _ = stream.draw_block(300 - n)
+                assert head.tobytes() == full[:n].tobytes()
+                assert tail.tobytes() == full[n:].tobytes()
+
+    def test_later_draws_come_from_the_store(self, monkeypatch):
+        p = _STORE_PROBLEMS["ridge"]
+        store = PrefixStore(p, 1)
+        store.draw(p.stream(7), 40)
+        drawn = []
+        draw_block = problems.SampleStream.draw_block
+        monkeypatch.setattr(problems.SampleStream, "draw_block", lambda self, count: (
+            drawn.append((self.counter, count)) or draw_block(self, count)))
+        store.draw(p.stream(7), 25)
+        store.draw(p.stream(7), 60)
+        assert drawn == [(40, 20)]
+
+    def test_other_streams_are_drawn_directly(self):
+        p, q = _STORE_PROBLEMS["ridge"], _STORE_PROBLEMS["soft_svm"]
+        store = PrefixStore(p, 2)
+        _, advanced = p.stream(3).draw_block(5)
+        for stream in (advanced, q.stream(3)):
+            rows, end = store.draw(stream, 10)
+            fresh, fresh_end = stream.draw_block(10)
+            assert rows.tobytes() == fresh.tobytes() and end == fresh_end
+        assert store._held == {}
+
+    def test_rejects_no_trials(self):
+        with pytest.raises(InputError):
+            PrefixStore(_STORE_PROBLEMS["ridge"], 0)
 
 
 class TestLossOracles:

@@ -13,6 +13,7 @@ from sastra.problems import (
     FiniteSumQuadratic,
     GaussianMean,
     NormPower,
+    PrefixStore,
     RidgeRegression,
     SoftSVM,
 )
@@ -51,6 +52,21 @@ class TestBuildEmpirical:
         a, _ = build_empirical(p, 16, p.stream(9))
         b, _ = build_empirical(p, 16, p.stream(9))
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_prefix_store_changes_neither_samples_nor_stream(self):
+        # the returned stream is at counter n with or without the store, so
+        # vr_solve, which keys its term indices by that stream, is unchanged
+        p = FiniteSumQuadratic.from_seed(3, 12, 1.0, seed=5, scales=[1.0, 2.0, 4.0])
+        store = PrefixStore(p, 2)
+        for n in (30, 10, 45, 45, 3):
+            for seed in (41, 42):
+                emp, stream = build_empirical(p, n, p.stream(seed), prefixes=store)
+                fresh, fresh_stream = build_empirical(p, n, p.stream(seed))
+                assert emp.samples.tobytes() == fresh.samples.tobytes()
+                assert stream == fresh_stream and stream.counter == n
+                got = vr_solve(emp, 1e-10, 50, stream)
+                want = vr_solve(fresh, 1e-10, 50, fresh_stream)
+                assert got.point.tobytes() == want.point.tobytes()
 
     def test_minimizer_is_sample_mean(self):
         p = GaussianMean(mean=[0.2], sigma=1.0, feasible_set=unconstrained(1))
