@@ -412,30 +412,32 @@ def find_sample_complexity(
     trials: int = 50,
     max_n: int = 1_000_000,
     base_seed: int = 10_000,
-    n_start: int = 1,
-    prefixes: PrefixStore | None = None,
 ) -> ComplexityResult:
     """Smallest probed N with empirical success fraction >= 1 - beta.
 
-    Doubles N from min(n_start, max_n) until the criterion holds
-    (saturating at max_n), then bisects the bracketing doubling interval,
-    from the last failed probe to the first passing one, geometrically until
-    hi <= _RESOLUTION * lo.  Every probe runs the same trials, seeds
+    Doubles N from 1 until the criterion holds (saturating at max_n), then
+    bisects the bracketing doubling interval, from the last failed probe to
+    the first passing one, geometrically until hi <= _RESOLUTION * lo.  Every probe runs the same trials, seeds
     base_seed + 1 .. base_seed + trials, so probes differ only in N.
 
-    All probes share one PrefixStore: the given one, else one made for this
-    call and dropped when it returns.  An offline solver's trial draws the
-    first rows of its stream once and takes them from the store at later
-    probes, so only rows it has not drawn yet, or that lie beyond the
-    store's byte cap, are drawn again.  Every result is the same, bit for
-    bit, as without the store.
+    All probes share one PrefixStore, made for this call and dropped when it
+    returns.  An offline solver's trial draws the first rows of its stream
+    once and takes them from the store at later probes, so only rows it has
+    not drawn yet, or that lie beyond the store's byte cap, are drawn again.
+    Every result is the same, bit for bit, as without the store.
     """
+    return _search(solver, problem, epsilon, beta, trials, max_n, base_seed, 1,
+                   PrefixStore(problem, trials))
+
+
+def _search(solver, problem, epsilon, beta, trials, max_n, base_seed, n_start,
+            prefixes: PrefixStore) -> ComplexityResult:
+    """find_sample_complexity doubling from min(n_start, max_n) and drawing
+    through the given store."""
     if not epsilon > 0 or not 0 < beta < 1:
         raise InputError("need epsilon > 0 and beta in (0, 1)")
     if max_n < 1:
         raise InputError("max_n must be >= 1")
-    if prefixes is None:
-        prefixes = PrefixStore(problem, trials)
     probes = []
 
     def succeeds(n: int) -> bool:
@@ -487,10 +489,8 @@ def measure_curve(
     n_start = 1
     prefixes = PrefixStore(problem, trials)
     for eps in eps_sorted:
-        res = find_sample_complexity(
-            solver, problem, eps, beta, trials=trials, max_n=max_n,
-            base_seed=base_seed, n_start=n_start, prefixes=prefixes,
-        )
+        res = _search(solver, problem, eps, beta, trials, max_n, base_seed, n_start,
+                      prefixes)
         k_at = next((k for (n, k, t) in reversed(res.probes) if n == res.n), 0)
         points.append(CurvePoint(eps, beta, res.n, trials, k_at, res.saturated))
         n_start = res.n

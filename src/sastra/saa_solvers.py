@@ -106,9 +106,23 @@ def _composite_subgrad(composite, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """True if a and every array it views are read-only, so nothing can write a."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalObjective:
-    """Frozen-sample average objective f_bar(x) = (1/N) sum f(x, xi^k) + composite."""
+    """Frozen-sample average objective f_bar(x) = (1/N) sum f(x, xi^k) + composite.
+
+    The samples are held read-only: an array nothing can write (read-only,
+    as are the arrays it views, such as rows a PrefixStore serves) is kept
+    as given, and anything else is copied first.
+    """
 
     problem: ProblemInstance
     samples: np.ndarray
@@ -122,8 +136,9 @@ class EmpiricalObjective:
             raise InputError(
                 f"sample width {s.shape[1]} != problem width {self.problem.sample_width}"
             )
-        s = s.copy()
-        s.setflags(write=False)
+        if not _frozen(s):
+            s = s.copy()
+            s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
     @property

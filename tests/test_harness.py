@@ -581,17 +581,23 @@ class TestFindSampleComplexity:
     @pytest.mark.parametrize("solver, saturated", [(StepSolver(10), False), (NeverSolver(), True)],
                              ids=["passes", "never"])
     def test_n_start_above_max_n_probes_max_n(self, solver, saturated):
-        res = find_sample_complexity(solver, gaussian(), 0.1, 0.3, trials=1, max_n=50,
-                                     n_start=100)
+        res = _warm_search(solver, max_n=50, n_start=100)
         assert [n for n, _k, _t in res.probes] == [50]
         assert (res.n, res.saturated) == (50, saturated)
+
+
+def _warm_search(solver, max_n, n_start):
+    """The search measure_curve runs for a point after the first: doubling
+    from the previous point's N."""
+    problem = gaussian()
+    return harness._search(solver, problem, 0.1, 0.3, 1, max_n, 10_000, n_start,
+                           PrefixStore(problem, 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(need=st.integers(1, 5000), max_n=st.integers(1, 5000), n_start=st.integers(1, 5000))
 def test_search_brackets_a_step(need, max_n, n_start):
-    res = find_sample_complexity(StepSolver(need), gaussian(), 0.1, 0.3, trials=1,
-                                 max_n=max_n, n_start=n_start)
+    res = _warm_search(StepSolver(need), max_n, n_start)
     assert max(n for n, _k, _t in res.probes) <= max_n
     assert res.saturated == (need > max_n)
     if not res.saturated and min(n_start, max_n) >= need:

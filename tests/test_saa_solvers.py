@@ -80,6 +80,21 @@ class TestBuildEmpirical:
         with pytest.raises(ValueError):
             emp.samples[0, 0] = 99.0
 
+    def test_rows_only_copied_when_something_could_write_them(self):
+        p = GaussianMean(mean=[0.0, 0.0], sigma=1.0, feasible_set=unconstrained(2))
+        store = PrefixStore(p, 1)
+        build_empirical(p, 8, p.stream(3), prefixes=store)
+        served, _ = store.draw(p.stream(3), 5)  # a read-only view of read-only rows
+        assert EmpiricalObjective(p, served).samples is served
+        writable = np.ones((3, 2))
+        view = writable[:2]
+        view.setflags(write=False)  # read-only, but its base is not
+        for given in (writable, view):
+            emp = EmpiricalObjective(p, given)
+            writable[0, 0] = 7.0
+            assert emp.samples[0, 0] != 7.0 and not emp.samples.flags.writeable
+            writable[0, 0] = 1.0
+
 
 class TestEmpiricalValueGrad:
     def test_gradient_zero_at_mean(self):
