@@ -420,12 +420,6 @@ def builtin_verify():
         if len(draws) != len(keys):
             raise AssertionError("two (seed, kind) streams draw the same values")
 
-    def prox_example():
-        out = saa.composite_prox_step([0.0], [3.0], 0.1, saa.L1(1.0),
-                                      FeasibleSet.unconstrained(1))
-        if abs(out[0] + 0.2) > 1e-12:
-            raise AssertionError(f"prox value {out[0]} != -0.2")
-
     def determinism():
         # the block paths: stateless steps, restart stages, per-row AdaGrad
         cases = (
@@ -466,7 +460,6 @@ def builtin_verify():
     check("gaussian-mean recursion equals sample mean", mean_identity)
     check("vr gradient is unbiased over term index", vr_identity)
     check("streams of distinct (seed, kind) differ", distinct_streams)
-    check("l1 prox closed form", prox_example)
     check("trial determinism across batching", determinism)
     check("exact ERM matches iterative ERM", exact_vs_iterative)
     return checks

@@ -2,7 +2,7 @@
 
 Trials run on one thread, seeded base+1..base+T, so a run depends only on
 its config and seed, and the T trial streams of one probe never overlap.
-Across probes they are shared by design (below), and two experiments whose
+Across probes they are shared by design (measure_curve), and two experiments whose
 base seeds differ by d < T share T - d trials.  run_trials hands a
 solver all T streams of a probe at once.  The online solvers (sgd, restart,
 batched_accel) advance them in lockstep as one (T, n) block of iterates in
@@ -10,15 +10,9 @@ one sa_solvers call; the offline ones solve trial after trial.  Either way
 trial t equals, bit for bit, a one-trial run at seed base+t, failures
 included.  A trial's wall_ms is its block's wall time divided by T.
 
-Sample complexity N(eps, beta) is located by doubling followed by geometric
-bisection.  Every probe of a search and every point of a curve runs the same
-trials (common random numbers): trial t draws from seed base+t throughout, so
-its data at N is a prefix of its data at 2N.  So each search, and each
-curve across all its points, keeps one problems.PrefixStore: an offline
-trial draws the first rows of its stream once and takes them from the store
-at later probes, up to a byte cap.  The store lives only as long as the call,
-and the results are the same bit for bit as drawing every probe afresh.
-Rate exponents come from least squares in log-log space.
+Sample complexity N(eps, beta) comes from measure_curve, one _search per
+epsilon, and each point carries its search's probe table.  Rate exponents
+come from least squares in log-log space.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ __all__ = [
     "TrialResult",
     "CurvePoint",
     "SampleComplexityCurve",
-    "ComplexityResult",
     "SgdSolver",
     "RestartSolver",
     "ErmSolver",
@@ -94,12 +87,16 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One search's result: N and the success count of its probe at N,
+    with every probe in probe order as ((n, successes, trials), ...)."""
+
     epsilon: float
     beta: float
     n: int
     trials: int
     successes: int
     saturated: bool = False
+    probes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -130,13 +127,6 @@ class SampleComplexityCurve:
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "intercept", intercept)
         object.__setattr__(self, "residual", residual)
-
-
-@dataclass(frozen=True)
-class ComplexityResult:
-    n: int
-    saturated: bool
-    probes: tuple  # ((n, successes, trials), ...)
 
 
 # ---------------------------------------------------------------------------
@@ -412,28 +402,23 @@ def find_sample_complexity(
     trials: int = 50,
     max_n: int = 1_000_000,
     base_seed: int = 10_000,
-) -> ComplexityResult:
-    """Smallest probed N with empirical success fraction >= 1 - beta.
-
-    Doubles N from 1 until the criterion holds (saturating at max_n), then
-    bisects the bracketing doubling interval, from the last failed probe to
-    the first passing one, geometrically until hi <= _RESOLUTION * lo.  Every probe runs the same trials, seeds
-    base_seed + 1 .. base_seed + trials, so probes differ only in N.
-
-    All probes share one PrefixStore, made for this call and dropped when it
-    returns.  An offline solver's trial draws the first rows of its stream
-    once and takes them from the store at later probes, so only rows it has
-    not drawn yet, or that lie beyond the store's byte cap, are drawn again.
-    Every result is the same, bit for bit, as without the store.
-    """
-    return _search(solver, problem, epsilon, beta, trials, max_n, base_seed, 1,
-                   PrefixStore(problem, trials))
+) -> CurvePoint:
+    """measure_curve's point for the one epsilon; kept only because the
+    benchmark (bench/child.py, bench/spans.py) calls it by name."""
+    return measure_curve(solver, problem, [epsilon], beta, trials, max_n, base_seed).points[0]
 
 
 def _search(solver, problem, epsilon, beta, trials, max_n, base_seed, n_start,
-            prefixes: PrefixStore) -> ComplexityResult:
-    """find_sample_complexity doubling from min(n_start, max_n) and drawing
-    through the given store."""
+            prefixes: PrefixStore) -> CurvePoint:
+    """Smallest probed N with empirical success fraction >= 1 - beta.
+
+    Doubles N from min(n_start, max_n) until the criterion holds (saturating
+    at max_n), then bisects the bracketing doubling interval, from the last
+    failed probe to the first passing one, geometrically until
+    hi <= _RESOLUTION * lo.  Every probe runs the same trials, seeds
+    base_seed + 1 .. base_seed + trials, so probes differ only in N, and
+    draws through the given store.
+    """
     if not epsilon > 0 or not 0 < beta < 1:
         raise InputError("need epsilon > 0 and beta in (0, 1)")
     if max_n < 1:
@@ -447,12 +432,16 @@ def _search(solver, problem, epsilon, beta, trials, max_n, base_seed, n_start,
         probes.append((n, k, trials))
         return k / trials >= 1.0 - beta
 
+    def point(n: int, saturated: bool = False) -> CurvePoint:
+        k = next(k for (m, k, _t) in reversed(probes) if m == n)
+        return CurvePoint(epsilon, beta, n, trials, k, saturated, tuple(probes))
+
     hi = min(max(1, n_start), max_n)
     if succeeds(hi):
-        return ComplexityResult(hi, False, tuple(probes))
+        return point(hi)
     while True:
         if hi >= max_n:
-            return ComplexityResult(max_n, True, tuple(probes))
+            return point(max_n, saturated=True)
         lo, hi = hi, min(2 * hi, max_n)
         if succeeds(hi):
             break
@@ -464,7 +453,7 @@ def _search(solver, problem, epsilon, beta, trials, max_n, base_seed, n_start,
             hi = mid
         else:
             lo = mid
-    return ComplexityResult(hi, False, tuple(probes))
+    return point(hi)
 
 
 def measure_curve(
@@ -476,24 +465,25 @@ def measure_curve(
     max_n: int = 1_000_000,
     base_seed: int = 10_000,
 ) -> SampleComplexityCurve:
-    """N(eps, beta) for a decreasing epsilon list.
+    """N(eps, beta) for a decreasing epsilon list, one _search per epsilon.
 
     Each tighter epsilon starts its doubling search at the previous measured
     N, which both warm-starts the probes and makes the curve monotone by
     construction.  Every point runs the same trials, seeds base_seed + 1 ..
     base_seed + trials, and every probe of every point draws through one
-    PrefixStore that lives as long as this call (see find_sample_complexity).
+    PrefixStore made for this call and dropped when it returns: an offline
+    trial draws the first rows of its stream once and takes them from the
+    store at later probes, up to the store's byte cap.  Every result is the
+    same, bit for bit, as without the store.
     """
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
     points = []
     n_start = 1
     prefixes = PrefixStore(problem, trials)
     for eps in eps_sorted:
-        res = _search(solver, problem, eps, beta, trials, max_n, base_seed, n_start,
-                      prefixes)
-        k_at = next((k for (n, k, t) in reversed(res.probes) if n == res.n), 0)
-        points.append(CurvePoint(eps, beta, res.n, trials, k_at, res.saturated))
-        n_start = res.n
+        points.append(_search(solver, problem, eps, beta, trials, max_n, base_seed, n_start,
+                              prefixes))
+        n_start = points[-1].n
     return SampleComplexityCurve(tuple(points))
 
 

@@ -1,11 +1,11 @@
 """Offline pipeline: empirical objectives and their deterministic solvers.
 
 An EmpiricalObjective freezes N samples of a problem plus an optional
-composite regularizer; its value and gradient are exact arithmetic means over
+Tikhonov term (HalfSqL2); its value and gradient are exact arithmetic means over
 all terms.  Where the empirical problem has a closed-form minimizer,
 exact_erm returns it with the certificate "exact": gaussian_mean on every set,
 finite_sum_quadratic on free space (and on every set when its scales are
-equal), ridge/lasso without an l1 term on free space or an l2 ball, and
+equal), ridge/lasso on free space or an l2 ball, and
 norm_power on free space or an origin-centred l2 ball.  The offline solvers
 call it first and fall back to solve_erm.  Its proximal gradient loop
 certifies delta-accuracy through a strong-convexity bound on the gradient
@@ -31,7 +31,6 @@ from .problems import PrefixStore, ProblemInstance, SampleStream, uniform_values
 
 __all__ = [
     "HalfSqL2",
-    "L1",
     "EmpiricalObjective",
     "build_empirical",
     "ErmResult",
@@ -74,23 +73,6 @@ class HalfSqL2:
     def subgrad(self, x) -> np.ndarray:
         d = x if self.center is None else x - self.center
         return self.mu * d
-
-
-@dataclass(frozen=True)
-class L1:
-    """lam ||x||_1 with the sign subgradient (0 at zero coordinates)."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise InputError("L1 needs lam > 0")
-
-    def value(self, x) -> float:
-        return self.lam * float(np.abs(x).sum())
-
-    def subgrad(self, x) -> np.ndarray:
-        return self.lam * np.sign(x)
 
 
 def _composite_value(composite, x) -> float:
@@ -164,7 +146,7 @@ class EmpiricalObjective:
         return g + _composite_subgrad(self.composite, x)
 
     def smoothness(self) -> float:
-        """Gradient Lipschitz bound of one term (inf if nonsmooth); L1 is left to the prox."""
+        """Gradient Lipschitz bound of one term (inf if nonsmooth)."""
         l_term = self.problem.constants().L
         if isinstance(self.composite, HalfSqL2):
             return l_term + self.composite.mu
@@ -203,19 +185,13 @@ def build_empirical(
 # ---------------------------------------------------------------------------
 
 
-def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
 def composite_prox_step(x, g, gamma: float, composite, set_: FeasibleSet) -> np.ndarray:
     """argmin over the set of <g, z-x> + ||z-x||^2 / (2 gamma) + composite(z).
 
     Closed forms: no composite is a projected step; HalfSqL2 completes the
-    square, so it is a projected step of the shrunk point for every set; L1
-    soft-thresholds and then projects, which is exact for the unconstrained
-    space and for origin-centered l2/l1 balls, and rejected otherwise (on the
-    simplex the l1 term is constant, also rejected).  On the unconstrained
-    space the unprojected point is returned: it is a new array already.
+    square, so it is a projected step of the shrunk point for every set.  Any
+    other composite is rejected.  On the unconstrained space the unprojected
+    point is returned: it is a new array already.
     """
     if not gamma > 0:
         raise InputError("gamma must be positive")
@@ -226,16 +202,6 @@ def composite_prox_step(x, g, gamma: float, composite, set_: FeasibleSet) -> np.
         gm = gamma * composite.mu
         w = v if composite.center is None else v + gm * composite.center
         v = w / (1.0 + gm)
-    elif isinstance(composite, L1):
-        if set_.kind == "simplex":
-            raise UnsupportedCombinationError(
-                "l1 composite is constant on the simplex; pair rejected"
-            )
-        if set_.kind in ("l2_ball", "l1_ball") and not set_.centered_at_origin():
-            raise UnsupportedCombinationError(
-                "l1 composite has no closed form on off-center balls"
-            )
-        v = _soft_threshold(v, gamma * composite.lam)
     elif composite is not None:
         raise UnsupportedCombinationError(f"unknown composite {composite!r}")
     return project(set_, v) if set_.is_bounded else v
@@ -366,17 +332,15 @@ def solve_erm(
 def exact_erm(e: EmpiricalObjective, x0=None) -> ErmResult | None:
     """The exact empirical minimizer where a closed form exists, else None.
 
-    Handles no composite and HalfSqL2; an L1 composite, soft_svm, the
-    quadratics on l1 balls or simplices and norm_power off free space and
-    origin-centred l2 balls have no closed form and return None.  Where the
+    Handles no composite and HalfSqL2; soft_svm, the quadratics on l1 balls
+    or simplices and norm_power off free space and origin-centred l2 balls
+    have no closed form and return None.  Where the
     empirical problem has no minimizer (norm_power with s = 1 on free space)
     it raises NotApplicableError.  x0 only matters where the minimizer is not
     unique (ridge on free space with N < n): the result is then the
     minimizer nearest x0, the limit of the gradient iteration started there.
     """
-    problem, composite = e.problem, e.composite
-    if composite is not None and not isinstance(composite, HalfSqL2):
-        return None
+    problem = e.problem
     if problem.family == "gaussian_mean":
         point = _separable_quadratic_minimizer(e, np.full(problem.dimension, 2.0))
     elif problem.family == "finite_sum_quadratic":
@@ -604,8 +568,8 @@ def vr_solve(
     problem = e.problem
     lip = e.smoothness()
     mu = e.strong_convexity()
-    if not math.isfinite(lip) or isinstance(e.composite, L1):  # no prox term in the step
-        raise NotApplicableError("vr_solve needs smooth terms and no L1 composite")
+    if not math.isfinite(lip):
+        raise NotApplicableError("vr_solve needs smooth terms")
     if mu <= 0:
         raise NotApplicableError("vr_solve needs strong convexity (family or HalfSqL2)")
     set_ = problem.feasible_set

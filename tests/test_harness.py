@@ -526,37 +526,37 @@ class TestSuccessProbability:
 class TestFindSampleComplexity:
     def test_analytic_inversion(self):
         # gap(N) = 10/sqrt(N) <= 0.1 exactly at N = 1e4
-        res = find_sample_complexity(PowerLawSolver(10.0), gaussian(), 0.1, 0.3,
-                                     trials=5, max_n=10**6)
+        res = measure_curve(PowerLawSolver(10.0), gaussian(), [0.1], 0.3,
+                            trials=5, max_n=10**6).points[0]
         assert not res.saturated
         assert 10_000 <= res.n <= 11_000  # within one bisection step
 
     def test_trivial_epsilon(self):
-        res = find_sample_complexity(PowerLawSolver(0.5), gaussian(), 1.0, 0.3,
-                                     trials=5)
+        res = measure_curve(PowerLawSolver(0.5), gaussian(), [1.0], 0.3,
+                            trials=5).points[0]
         assert res.n == 1
 
     def test_saturation_flag(self):
-        res = find_sample_complexity(NeverSolver(), gaussian(), 0.1, 0.3,
-                                     trials=3, max_n=64)
+        res = measure_curve(NeverSolver(), gaussian(), [0.1], 0.3,
+                            trials=3, max_n=64).points[0]
         assert res.saturated
         assert res.n == 64
 
     def test_monotone_in_epsilon(self):
         ns = []
         for eps in (0.4, 0.2, 0.1, 0.05):
-            res = find_sample_complexity(PowerLawSolver(10.0), gaussian(), eps,
-                                         0.3, trials=5)
+            res = measure_curve(PowerLawSolver(10.0), gaussian(), [eps],
+                                0.3, trials=5).points[0]
             ns.append(res.n)
         assert ns == sorted(ns)
 
     def test_invalid_inputs(self):
         with pytest.raises(InputError):
-            find_sample_complexity(PowerLawSolver(), gaussian(), -0.1, 0.3)
+            measure_curve(PowerLawSolver(), gaussian(), [-0.1], 0.3).points[0]
         with pytest.raises(InputError):
-            find_sample_complexity(PowerLawSolver(), gaussian(), 0.1, 1.5)
+            measure_curve(PowerLawSolver(), gaussian(), [0.1], 1.5).points[0]
         with pytest.raises(InputError):
-            find_sample_complexity(PowerLawSolver(), gaussian(), 0.1, 0.3, max_n=0)
+            measure_curve(PowerLawSolver(), gaussian(), [0.1], 0.3, max_n=0).points[0]
 
     @pytest.mark.parametrize("search", [
         lambda eps: find_sample_complexity(PowerLawSolver(), gaussian(), eps, 0.3,
@@ -571,8 +571,8 @@ class TestFindSampleComplexity:
 
     def test_bisection_stays_above_the_last_failed_probe(self):
         # max_n clamps the doubling at 100, so the bracket is (64, 100]
-        res = find_sample_complexity(StepSolver(70), gaussian(), 0.1, 0.3, trials=1,
-                                     max_n=100)
+        res = measure_curve(StepSolver(70), gaussian(), [0.1], 0.3, trials=1,
+                            max_n=100).points[0]
         probed = [n for n, _k, _t in res.probes]
         assert probed[:8] == [1, 2, 4, 8, 16, 32, 64, 100]
         assert min(probed[8:]) > 64
@@ -584,6 +584,16 @@ class TestFindSampleComplexity:
         res = _warm_search(solver, max_n=50, n_start=100)
         assert [n for n, _k, _t in res.probes] == [50]
         assert (res.n, res.saturated) == (50, saturated)
+
+    @pytest.mark.parametrize("solver, problem", [
+        (ErmSolver(), RidgeRegression(np.linspace(-0.5, 0.5, 8), 1.0, FeasibleSet.unconstrained(8))),
+        (PowerLawSolver(10.0), gaussian()),
+    ], ids=["erm-ridge", "online"])
+    def test_is_the_one_point_curve(self, solver, problem):
+        res = find_sample_complexity(solver, problem, 0.2, 0.3, trials=6, base_seed=300)
+        assert len(res.probes) > 1
+        assert res == measure_curve(solver, problem, [0.2], 0.3, trials=6,
+                                    base_seed=300).points[0]
 
 
 def _warm_search(solver, max_n, n_start):
@@ -598,7 +608,9 @@ def _warm_search(solver, max_n, n_start):
 @given(need=st.integers(1, 5000), max_n=st.integers(1, 5000), n_start=st.integers(1, 5000))
 def test_search_brackets_a_step(need, max_n, n_start):
     res = _warm_search(StepSolver(need), max_n, n_start)
-    assert max(n for n, _k, _t in res.probes) <= max_n
+    assert res.probes and max(n for n, _k, _t in res.probes) <= max_n
+    assert res.successes == next(k for n, k, _t in reversed(res.probes) if n == res.n)
+    assert all(t == res.trials for _n, _k, t in res.probes)
     assert res.saturated == (need > max_n)
     if not res.saturated and min(n_start, max_n) >= need:
         assert res.n == min(n_start, max_n)  # the first probe passes
@@ -622,7 +634,7 @@ class TestCommonSeeds:
 
     def test_every_probe_runs_the_same_trials(self):
         solver = RecordingSolver()
-        res = find_sample_complexity(solver, gaussian(), 0.1, 0.3, trials=4, base_seed=700)
+        res = measure_curve(solver, gaussian(), [0.1], 0.3, trials=4, base_seed=700).points[0]
         assert len(solver.calls) == len(res.probes) > 10
         assert {seeds for _n, seeds in solver.calls} == {(701, 702, 703, 704)}
 
@@ -719,8 +731,8 @@ class TestPrefixStoreMemory:
         stores, held = self._recording(monkeypatch)
         gc.disable()  # no cycle collection: the store must be freed by refcount
         try:
-            res = find_sample_complexity(ErmSolver(), self.PROBLEM, 0.05, 0.1, trials=50,
-                                         base_seed=12_000)
+            res = measure_curve(ErmSolver(), self.PROBLEM, [0.05], 0.1, trials=50,
+                                base_seed=12_000).points[0]
             assert max(n for n, _, _ in res.probes) == 1024
             assert len(stores) == 1 and stores[0]() is None
         finally:

@@ -20,7 +20,6 @@ from sastra.problems import (
 from sastra.saa_solvers import (
     EmpiricalObjective,
     HalfSqL2,
-    L1,
     VRState,
     build_empirical,
     composite_prox_step,
@@ -115,20 +114,14 @@ class TestEmpiricalValueGrad:
     def test_brute_force_sum(self):
         p = RidgeRegression(coefficients=[1.0, -1.0], sigma=0.5,
                             feasible_set=unconstrained(2))
-        emp, _ = build_empirical(p, 3, p.stream(5), L1(0.7))
+        emp, _ = build_empirical(p, 3, p.stream(5), HalfSqL2(0.7))
         x = np.array([0.4, 0.2])
-        v_ref = np.mean([p.loss_value(x, xi) for xi in emp.samples]) + 0.7 * 0.6
+        v_ref = np.mean([p.loss_value(x, xi) for xi in emp.samples]) + 0.35 * 0.2
         g_ref = np.mean([p.loss_subgradient(x, xi) for xi in emp.samples], axis=0) \
-            + 0.7 * np.sign(x)
+            + 0.7 * x
         v, g = emp.value(x), emp.gradient(x)
         assert v == pytest.approx(v_ref, abs=1e-12)
         np.testing.assert_allclose(g, g_ref, atol=1e-12)
-
-    def test_l1_subgradient_zero_at_zero(self):
-        p = GaussianMean(mean=[0.0], sigma=1.0, feasible_set=unconstrained(1))
-        emp = EmpiricalObjective(p, np.array([[1.0], [-1.0]]), L1(2.0))
-        g = emp.gradient(np.array([0.0]))
-        assert g[0] == 0.0  # term gradients cancel, sign(0) = 0
 
 
 class TestSolveErm:
@@ -169,20 +162,6 @@ class TestSolveErm:
         res = solve_erm(emp, 1e-10, budget=10_000)
         assert res.certified
         assert res.certificate == "strong_convexity"
-
-    def test_l1_composite_takes_the_prox_loop(self):
-        # (1/N) sum ||x - xi||^2 + lam ||x||_1 is minimized by soft-thresholding
-        # the sample mean at lam/2; the subgradient loop ran out of budget
-        # 6.5e-6 away from it
-        p = GaussianMean(mean=[1.0, -0.8, 0.05], sigma=1.0, feasible_set=unconstrained(3))
-        emp, _ = build_empirical(p, 50, p.stream(4), L1(0.4))
-        mean = emp.samples.mean(axis=0)
-        closed = np.sign(mean) * np.maximum(np.abs(mean) - 0.2, 0.0)
-        assert (closed == 0.0).any() and (closed != 0.0).any()
-        res = solve_erm(emp, 1e-10)
-        assert res.certified and res.certificate == "strong_convexity"
-        np.testing.assert_allclose(res.point, closed, rtol=0, atol=1e-12)
-        assert res.value <= emp.value(closed) + 1e-15
 
     @pytest.mark.parametrize("s", [1.5, 1.25])
     def test_norm_power_under_tikhonov_takes_the_prox_loop(self, s):
@@ -343,15 +322,12 @@ class TestExactErm:
         svm = SoftSVM(concept=[1.5, 0.0])
         ridge = RidgeRegression(coefficients=[0.3, -0.2], sigma=1.0,
                                 feasible_set=FeasibleSet.l1_ball(2, 1.0))
-        ridge_free = RidgeRegression(coefficients=[0.3, -0.2], sigma=1.0,
-                                     feasible_set=unconstrained(2))
         fsq = FiniteSumQuadratic.from_seed(2, 8, 1.0, seed=1, scales=[1.0, 3.0],
                                            set_=FeasibleSet.l2_ball(2, 1.0))
         off = NormPower(s=2.0, sigma=1.0, dim=2,
                         feasible_set=FeasibleSet.l2_ball(2, 1.0, center=[0.1, 0.0]))
-        for problem, composite in ((svm, None), (ridge, None), (ridge_free, L1(0.5)),
-                                   (fsq, None), (off, None)):
-            emp, _ = build_empirical(problem, 10, problem.stream(1), composite)
+        for problem in (svm, ridge, fsq, off):
+            emp, _ = build_empirical(problem, 10, problem.stream(1))
             assert exact_erm(emp) is None
 
 
@@ -470,13 +446,6 @@ class TestVrSolve:
         with pytest.raises(NotApplicableError):
             vr_solve(emp, 1e-6, 10, p.stream(2))
 
-    def test_rejects_l1_composite(self):
-        # the control-variate step has no prox term to take the l1 term
-        p = GaussianMean(mean=[1.0, -0.8], sigma=1.0, feasible_set=unconstrained(2))
-        emp, _ = build_empirical(p, 10, p.stream(1), L1(0.4))
-        with pytest.raises(NotApplicableError, match="L1"):
-            vr_solve(emp, 1e-6, 10, p.stream(2))
-
     def test_rejects_merely_convex(self):
         p = RidgeRegression(coefficients=[1.0], sigma=0.1,
                             feasible_set=unconstrained(1))
@@ -493,11 +462,6 @@ class TestCompositeProx:
             composite_prox_step(x, g, gamma, None, s), project(s, x - gamma * g)
         )
 
-    def test_scalar_l1_hand_kkt(self):
-        out = composite_prox_step([0.0], [3.0], 0.1, L1(1.0),
-                                  FeasibleSet.unconstrained(1))
-        assert out[0] == pytest.approx(-0.2, abs=1e-14)
-
     def test_zero_gradient_no_composite(self):
         s = FeasibleSet.l1_ball(2, 1.0)
         x = np.array([0.2, -0.3])
@@ -509,7 +473,7 @@ class TestCompositeProx:
         # fine grid over the objective <g, z-x> + ||z-x||^2/(2 gamma) + comp(z)
         rng = np.random.default_rng(3)
         zs = np.linspace(-8, 8, 16001)
-        for comp in (None, L1(0.8), HalfSqL2(1.7)):
+        for comp in (None, HalfSqL2(1.7)):
             for _ in range(10):
                 x = rng.normal()
                 g = rng.normal()
@@ -525,34 +489,9 @@ class TestCompositeProx:
                 obj = lambda z: g * (z - x) + (z - x) ** 2 / (2 * gamma) + comp_v(z)
                 assert obj(out) <= obj(best) + 1e-8
 
-    def test_ball_l1_exactness_2d(self):
-        # soft-threshold then project is the exact prox on origin-centered balls
-        rng = np.random.default_rng(4)
-        s = FeasibleSet.l2_ball(2, 0.8)
-        ts = np.linspace(-0.8, 0.8, 401)
-        grid = np.array([[a, b] for a in ts for b in ts])
-        grid = grid[np.linalg.norm(grid, axis=1) <= 0.8]
-        for _ in range(5):
-            x = project(s, rng.normal(size=2))
-            g = rng.normal(size=2)
-            gamma = 0.3
-            out = composite_prox_step(x, g, gamma, L1(0.5), s)
-            obj = (grid - x) @ g + ((grid - x) ** 2).sum(axis=1) / (2 * gamma) \
-                + 0.5 * np.abs(grid).sum(axis=1)
-            best = grid[np.argmin(obj)]
-            o = lambda z: g @ (z - x) + (z - x) @ (z - x) / (2 * gamma) \
-                + 0.5 * np.abs(z).sum()
-            assert o(out) <= o(best) + 1e-6
-
-    def test_l1_on_simplex_rejected(self):
+    def test_unknown_composite_rejected(self):
         with pytest.raises(UnsupportedCombinationError):
-            composite_prox_step([0.5, 0.5], [0.0, 0.0], 0.1, L1(1.0),
-                                FeasibleSet.simplex(2))
-
-    def test_l1_off_center_ball_rejected(self):
-        s = FeasibleSet.l2_ball(2, 1.0, center=[1.0, 0.0])
-        with pytest.raises(UnsupportedCombinationError):
-            composite_prox_step([1.0, 0.0], [0.1, 0.0], 0.1, L1(1.0), s)
+            composite_prox_step([0.5], [0.0], 0.1, object(), FeasibleSet.unconstrained(1))
 
 
 class TestNormPowerClosedForm:
