@@ -8,7 +8,7 @@ from sastra.errors import (
     NotApplicableError,
     UnsupportedCombinationError,
 )
-from sastra.geometry import FeasibleSet, project
+from sastra.geometry import FeasibleSet, contains, project
 from sastra.problems import (
     FiniteSumQuadratic,
     GaussianMean,
@@ -101,6 +101,13 @@ class TestEmpiricalValueGrad:
         emp, _ = build_empirical(p, 32, p.stream(7))
         g = emp.gradient(emp.samples.mean(axis=0))
         assert np.max(np.abs(g)) <= 1e-12
+
+    def test_gradient_zero_at_shrunk_mean(self):
+        # with (mu/2) ||x - c||^2 the minimizer moves to (2 xi_bar + mu c) / (2 + mu)
+        p = GaussianMean(mean=[0.1, -0.4], sigma=1.0, feasible_set=unconstrained(2))
+        emp, _ = build_empirical(p, 32, p.stream(7), HalfSqL2(0.6, [1.0, 2.0]))
+        x = (2.0 * emp.samples.mean(axis=0) + 0.6 * np.array([1.0, 2.0])) / 2.6
+        assert np.max(np.abs(emp.gradient(x))) <= 1e-12
 
     def test_identical_samples_equal_single_oracle(self):
         p = NormPower(s=3.0, sigma=1.0, dim=2)
@@ -488,6 +495,41 @@ class TestCompositeProx:
                 assert abs(out - best) <= 2e-3  # grid resolution
                 obj = lambda z: g * (z - x) + (z - x) ** 2 / (2 * gamma) + comp_v(z)
                 assert obj(out) <= obj(best) + 1e-8
+
+    def test_scalar_halfsq_hand_kkt(self):
+        # 3 + (z - 0)/0.1 + 1.0 (z - 0.5) = 0 gives z = -2.5/11
+        out = composite_prox_step([0.0], [3.0], 0.1, HalfSqL2(1.0, [0.5]),
+                                  FeasibleSet.unconstrained(1))
+        assert out[0] == pytest.approx(-2.5 / 11, abs=1e-14)
+
+    @pytest.mark.parametrize("set_", [
+        FeasibleSet.l2_ball(2, 0.8, center=[0.3, -0.2]),
+        FeasibleSet.l1_ball(2, 0.8, center=[-0.1, 0.2]),
+        FeasibleSet.simplex(2),
+    ], ids=["l2-off-centre", "l1-off-centre", "simplex"])
+    def test_halfsq_exact_on_every_set(self, set_):
+        # projecting the shrunk point is the exact prox of an off-centre
+        # Tikhonov term on each set kind, checked against a grid of the set
+        if set_.kind == "simplex":
+            ts = np.linspace(0.0, 1.0, 4001)
+            grid = np.column_stack([ts, 1.0 - ts])
+        else:
+            ts = np.linspace(-1.2, 1.2, 601)
+            grid = np.array([[a, b] for a in ts for b in ts])
+            grid = grid[contains(set_, grid)]
+        comp = HalfSqL2(1.3, [0.6, 0.4])
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x = project(set_, rng.normal(size=2))
+            g = rng.normal(size=2)
+            gamma = 0.3
+            out = composite_prox_step(x, g, gamma, comp, set_)
+            assert contains(set_, out)
+            d = grid - x
+            obj = d @ g + (d * d).sum(axis=1) / (2 * gamma) \
+                + 0.65 * ((grid - comp.center) ** 2).sum(axis=1)
+            o = lambda z: g @ (z - x) + (z - x) @ (z - x) / (2 * gamma) + comp.value(z)
+            assert o(out) <= obj.min() + 1e-12
 
     def test_unknown_composite_rejected(self):
         with pytest.raises(UnsupportedCombinationError):
