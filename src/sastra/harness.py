@@ -132,8 +132,9 @@ class SampleComplexityCurve:
 # ---------------------------------------------------------------------------
 # solver adapters: (problem, sample budget, T streams, epsilon, prefix store)
 # -> T outcomes, each the trial's point or the error that failed it.  The
-# offline adapters draw their n samples through saa.build_empirical and the
-# store; the online ones draw as they step and ignore it.  A solver parameter
+# offline adapters draw their n samples through the store, erm and
+# regularized_erm by saa.sample_erm and vr_erm by saa.build_empirical; the
+# online ones draw as they step and ignore it.  A solver parameter
 # that is not a field is fixed here or follows from the problem and epsilon.
 # No adapter reads the optimum: run_trials alone grades the points.
 # ---------------------------------------------------------------------------
@@ -242,13 +243,8 @@ class ErmSolver:
 
     def run(self, problem, n, streams, epsilon=None, prefixes=None) -> list:
         x0 = _start_point(problem, self.start)
-
-        def solve(stream):
-            emp, _ = saa.build_empirical(problem, n, stream, prefixes=prefixes)
-            result = saa.exact_erm(emp, x0) or saa.solve_erm(emp, _ERM_DELTA, x0=x0)
-            return result.point
-
-        return _each_stream(streams, solve)
+        return _each_stream(streams, lambda stream: saa.sample_erm(
+            problem, n, stream, _ERM_DELTA, x0=x0, prefixes=prefixes)[0].point)
 
 
 @dataclass(frozen=True)
@@ -473,8 +469,10 @@ def measure_curve(
     base_seed + trials, and every probe of every point draws through one
     PrefixStore made for this call and dropped when it returns: an offline
     trial draws the first rows of its stream once and takes them from the
-    store at later probes, up to the store's byte cap.  Every result is the
-    same, bit for bit, as without the store.
+    store at later probes, up to the store's byte cap.  A least-squares ERM
+    from N = 2n on keeps only Gram sums of its rows there, two per trial, and
+    draws just the rows past the nearest one.  Every result is the same, bit
+    for bit, as without the store.
     """
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
     points = []

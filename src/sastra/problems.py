@@ -14,9 +14,11 @@ disjoint by construction.  Normals come from fixed-consumption uniforms via
 the inverse CDF, which keeps the window arithmetic exact, and every family
 transforms them row by row (a response or label takes one dot product per
 row, geometry.row_dot), so a sample row has the same bits in every block
-that holds it; PrefixStore relies on that.  Each thread sets
-the whole state (key, counter, output buffer) of its one Philox generator
-before every draw, so no state carries from one draw to the next.
+that holds it.  PrefixStore relies on that: it keeps, per trial seed of a
+search, the first rows a probe drew, or for least squares only their Gram
+sums (block_gram), and later probes draw just what lies past them.  Each
+thread sets the whole state (key, counter, output buffer) of its one Philox
+generator before every draw, so no state carries from one draw to the next.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ _MASK64 = (1 << 64) - 1
 _KEY_SALT = 0x9E3779B97F4A8000
 # Stream kinds, carried in Philox counter word 3.
 _SAMPLES, _VALUES, _CENTERS = 0, 1, 2
-# Bytes of sample rows one PrefixStore holds: 3 MiB keeps ridge_erm's peak RSS
-# within 4 MB of drawing every probe afresh.
+# Bytes one PrefixStore may hold: 3 MiB of rows kept a 21-float-wide search's
+# peak RSS within 4 MB of drawing every probe afresh.
 _PREFIX_BYTES = 3 << 20
+# Rows per block of a Gram sum (block_gram).
+_GRAM_ROWS = 64
 
 
 def _uniform_windows(seed: int, first_sample: int, count: int, words: int, kind: int) -> np.ndarray:
@@ -173,18 +177,43 @@ class SampleStream:
         return rows, SampleStream(p, self.base_seed, self.counter + count)
 
 
-class PrefixStore:
-    """The first rows of the T trial streams of one problem, drawn once.
+def block_gram(rows: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
+    """total + rows^T rows, added block by block, left to right: rows
+    [0, 64), [64, 128), ... (a last block may be shorter); no total counts
+    as zeros.  The sum over rows [0, N) is then the sum held at any block
+    boundary plus the blocks of the rows past it, bit for bit."""
+    width = rows.shape[1]
+    total = np.zeros((width, width)) if total is None else total
+    for i in range(0, rows.shape[0], _GRAM_ROWS):
+        block = rows[i:i + _GRAM_ROWS]
+        total = total + block.T @ block
+    return total
 
-    draw(stream, count) returns what stream.draw_block(count) returns, bit
-    for bit.  A sample is a pure function of (seed, index), so the rows
-    [0, m) of a seed held from an earlier call are served again and only
-    rows [m, count) are drawn, by SampleStream(problem, seed, m).draw_block.
-    At most ``trials`` seeds are held, each up to _PREFIX_BYTES // (trials *
-    sample_width * 8) rows; rows above that are drawn again at every call,
-    so the cap bounds memory and changes no value.  Served rows are
-    read-only.  A stream of another problem, or one not at counter 0, is
-    drawn directly.
+
+class PrefixStore:
+    """What the T trial streams of one problem drew at a search's earlier probes.
+
+    It holds one of two kinds per seed, and a search uses one kind:
+    - rows: draw(stream, count) returns what stream.draw_block(count)
+      returns, bit for bit.  A sample is a pure function of (seed, index),
+      so the rows [0, m) of a seed held from an earlier call are served
+      again and only rows [m, count) are drawn, by SampleStream(problem,
+      seed, m).draw_block.  Each seed holds up to _PREFIX_BYTES // (trials
+      * sample_width * 8) rows; rows above that are drawn again at every
+      call.  Served rows are read-only.  Every offline search but a
+      least-squares ERM keeps rows.
+    - Gram sums: gram(stream, count) returns block_gram of the stream's
+      rows [0, count), bit for bit, with the advanced stream.  The
+      closed-form ridge and lasso ERMs read nothing else from N = 2n on
+      (saa_solvers.sample_erm).  Each seed holds the sums at two block
+      boundaries: the one the last call extended from and the one it
+      reached.  A call draws only the rows past the nearest held boundary
+      at or below count.  Sums are held only while two per seed fit:
+      2 * trials * sample_width^2 * 8 bytes at most _PREFIX_BYTES (352,800
+      bytes for 50 trials of width 21); otherwise every call draws afresh.
+    At most ``trials`` seeds are held, so either kind stays within
+    _PREFIX_BYTES, and no cap changes a value.  A stream of another
+    problem, or one not at counter 0, is drawn directly.
     """
 
     def __init__(self, problem: "ProblemInstance", trials: int):
@@ -192,8 +221,11 @@ class PrefixStore:
             raise InputError("trials must be >= 1")
         self._problem = problem
         self._trials = trials
-        self._cap_rows = _PREFIX_BYTES // (trials * problem.sample_width * 8)
+        width = problem.sample_width
+        self._cap_rows = _PREFIX_BYTES // (trials * width * 8)
+        self._hold_sums = 2 * trials * width * width * 8 <= _PREFIX_BYTES
         self._held: dict[int, np.ndarray] = {}  # seed -> read-only first rows
+        self._sums: dict[int, dict] = {}  # seed -> {block boundary: read-only sum}
 
     def draw(self, stream: SampleStream, count: int):
         """Return (rows of shape (count, sample_width), advanced stream)."""
@@ -214,6 +246,25 @@ class PrefixStore:
             self._held[seed] = kept
         rows.setflags(write=False)
         return rows, end
+
+    def gram(self, stream: SampleStream, count: int):
+        """Return (block_gram of the stream's next count rows, advanced stream)."""
+        p = self._problem
+        if stream.problem is not p or stream.counter != 0:
+            rows, end = stream.draw_block(count)
+            return block_gram(rows), end
+        seed = stream.base_seed
+        held = self._sums.get(seed, {})
+        start = max((m for m in held if m <= count), default=0)
+        rows, end = SampleStream(p, seed, start).draw_block(count - start)
+        reach = start + (count - start) // _GRAM_ROWS * _GRAM_ROWS
+        at_reach = block_gram(rows[:reach - start], held.get(start))
+        total = block_gram(rows[reach - start:], at_reach)
+        if self._hold_sums and reach > start and (held or len(self._sums) < self._trials):
+            at_reach.setflags(write=False)
+            kept = {start: held[start]} if start in held else {}
+            self._sums[seed] = {**kept, reach: at_reach}
+        return total, end
 
 
 class ProblemInstance:

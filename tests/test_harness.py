@@ -647,10 +647,13 @@ class TestCommonSeeds:
 
 def _offline_searches():
     """(solver, problem, epsilons) for every offline adapter: erm on ridge on
-    free space and on an l2 ball and on gaussian_mean, and regularized_erm
-    and vr_erm on a bounded set."""
+    free space and on an l2 ball and on gaussian_mean, regularized_erm on
+    ridge over an off-centre l2 ball (the Gram-sum solve under HalfSqL2,
+    interior and on the sphere), and regularized_erm and vr_erm on a
+    bounded set without a Gram-sum solve."""
     free8, ball8 = FeasibleSet.unconstrained(8), FeasibleSet.l2_ball(8, 1.0)
     coefficients = np.linspace(-0.5, 0.5, 8)
+    off_centre8 = FeasibleSet.l2_ball(8, 1.4, center=[0.3, -0.2, 0.1, 0.0, 0.2, -0.1, 0.3, -0.3])
     quadratic = FiniteSumQuadratic.from_seed(3, 12, 1.0, seed=5, scales=[1.0, 2.0, 4.0],
                                              set_=FeasibleSet.l2_ball(3, 1.0))
     yield pytest.param(ErmSolver(), RidgeRegression(coefficients, 1.0, free8), (0.4, 0.2),
@@ -659,6 +662,8 @@ def _offline_searches():
                        id="erm-ridge-l2")
     yield pytest.param(ErmSolver(), GaussianMean([0.2, 0.3, 0.5], 1.0, FeasibleSet.unconstrained(3)),
                        (0.2, 0.1), id="erm-gaussian_mean-free")
+    yield pytest.param(RegularizedErmSolver(), RidgeRegression(coefficients, 1.0, off_centre8),
+                       (0.4, 0.2), id="regularized_erm-ridge-l2")
     yield pytest.param(RegularizedErmSolver(), quadratic, (0.4, 0.2), id="regularized_erm-l2")
     yield pytest.param(VrErmSolver(), quadratic, (0.2, 0.1), id="vr_erm-l2")
 
@@ -697,22 +702,52 @@ class TestPrefixStoreSearch:
                                                         monkeypatch):
         monkeypatch.setattr(problems, "_PREFIX_BYTES", 20 * self.TRIALS * problem.sample_width * 8)
         store = PrefixStore(problem, self.TRIALS)
-        for n in (16, 4, 40, 21, 40, 9):
+        # across the 2n switch of the Gram-sum solves (16 for ridge in 8
+        # dimensions) and the 64-row block boundaries, in scrambled order
+        for n in (16, 4, 200, 64, 40, 65, 130, 21, 9, 200):
             shared = run_trials(solver, problem, n, self.TRIALS, 300, epsilon=epsilons[-1],
                                 prefixes=store)
             alone = run_trials(solver, problem, n, self.TRIALS, 300, epsilon=epsilons[-1])
             assert [(r.seed, r.gap, r.failed, r.diagnostic) for r in shared] == [
                 (r.seed, r.gap, r.failed, r.diagnostic) for r in alone]
-        assert store._held
+        assert store._held or store._sums
+
+
+# the problem of the ridge_erm benchmark config, whose x_star defaults to 0
+RIDGE_ERM = RidgeRegression(np.zeros(20), 1.0, FeasibleSet.unconstrained(20))
+
+
+class TestRidgeErmSearch:
+    """The ridge_erm benchmark search, N(0.05, 0.1) over 50 trials, pinned at
+    two workload seeds.  These are the values of the rows path; the Gram-sum
+    solves move its gaps only in their last bits."""
+
+    PINNED = {
+        2000: (609, 45, ((1, 42), (2, 26), (4, 6), (8, 1), (16, 0), (32, 0), (64, 0),
+                         (128, 0), (256, 3), (512, 39), (1024, 50), (724, 50), (609, 45),
+                         (558, 42))),
+        17000: (609, 47, ((1, 31), (2, 15), (4, 6), (8, 0), (16, 0), (32, 0), (64, 0),
+                          (128, 0), (256, 8), (512, 42), (1024, 50), (724, 48), (609, 47),
+                          (558, 44))),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_search_is_pinned(self, seed):
+        res = measure_curve(ErmSolver(), RIDGE_ERM, [0.05], 0.1, 50,
+                            base_seed=seed + 10_000).points[0]
+        n, k, probes = self.PINNED[seed]
+        assert (res.n, res.successes, res.saturated) == (n, k, False)
+        assert res.probes == tuple((m, km, 50) for m, km in probes)
 
 
 class TestPrefixStoreMemory:
-    # the RIDGE_ERM benchmark config: T = 50 trials, rows 21 floats wide;
-    # its search probes N = 512 and 1024, past the cap's 374 rows per trial
-    PROBLEM = RidgeRegression(np.linspace(-0.5, 0.5, 20), 1.0, FeasibleSet.unconstrained(20))
+    # a search whose store holds rows: erm on gaussian_mean, T = 50 trials,
+    # rows 20 floats wide; its search probes N = 512 and 1024, past the cap's
+    # 393 rows per trial
+    PROBLEM = GaussianMean(np.linspace(-0.5, 0.5, 20), 1.0, FeasibleSet.unconstrained(20))
 
     def _recording(self, monkeypatch):
-        stores, held = [], []
+        stores, held, sums = [], [], []
 
         class Recording(PrefixStore):
             def __init__(self, problem, trials):
@@ -724,28 +759,47 @@ class TestPrefixStoreMemory:
                 held.append(sum(a.nbytes for a in self._held.values()))
                 return out
 
-        monkeypatch.setattr(harness, "PrefixStore", Recording)
-        return stores, held
+            def gram(self, stream, count):
+                out = super().gram(stream, count)
+                sums.append((len(self._sums), max(map(len, self._sums.values()), default=0),
+                             sum(a.nbytes for by in self._sums.values() for a in by.values()),
+                             len(self._held)))
+                return out
 
-    def test_store_stays_under_its_cap_and_dies_with_the_search(self, monkeypatch):
-        stores, held = self._recording(monkeypatch)
+        monkeypatch.setattr(harness, "PrefixStore", Recording)
+        return stores, held, sums
+
+    def _search_frees_its_store(self, stores, problem, epsilon):
         gc.disable()  # no cycle collection: the store must be freed by refcount
         try:
-            res = measure_curve(ErmSolver(), self.PROBLEM, [0.05], 0.1, trials=50,
+            res = measure_curve(ErmSolver(), problem, [epsilon], 0.1, trials=50,
                                 base_seed=12_000).points[0]
             assert max(n for n, _, _ in res.probes) == 1024
             assert len(stores) == 1 and stores[0]() is None
         finally:
             gc.enable()
+
+    def test_store_stays_under_its_cap_and_dies_with_the_search(self, monkeypatch):
+        stores, held, _ = self._recording(monkeypatch)
+        self._search_frees_its_store(stores, self.PROBLEM, 0.05)
         cap = problems._PREFIX_BYTES
         assert 0 < max(held) <= cap
-        assert max(held) == 50 * (cap // (50 * 21 * 8)) * 21 * 8  # full, not over
+        assert max(held) == 50 * (cap // (50 * 20 * 8)) * 20 * 8  # full, not over
 
     def test_one_store_per_curve_and_none_outlives_it(self, monkeypatch):
-        stores, held = self._recording(monkeypatch)
+        stores, held, _ = self._recording(monkeypatch)
         measure_curve(ErmSolver(), self.PROBLEM, [0.2, 0.1], 0.1, trials=50, base_seed=12_000)
         assert len(stores) == 1 and stores[0]() is None
         assert 0 < max(held) <= problems._PREFIX_BYTES
+
+    def test_ridge_erm_store_holds_two_sums_per_trial_and_dies_with_the_search(
+            self, monkeypatch):
+        stores, held, sums = self._recording(monkeypatch)
+        self._search_frees_its_store(stores, RIDGE_ERM, 0.05)  # its store holds sums
+        assert held == []  # no rows: the probes below N = 40 draw theirs afresh
+        seeds, per_seed, nbytes, rows_held = zip(*sums)
+        assert max(seeds) == 50 and max(per_seed) == 2 and set(rows_held) == {0}
+        assert max(nbytes) == 2 * 50 * 21 * 21 * 8 <= problems._PREFIX_BYTES
 
 
 class TestMeasureCurve:

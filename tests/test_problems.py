@@ -270,6 +270,79 @@ class TestPrefixStore:
             PrefixStore(_STORE_PROBLEMS["ridge"], 0)
 
 
+def _loop_gram(rows):
+    """block_gram's reference: each 64-row block's sum of outer products,
+    added left to right to a zero start."""
+    total = np.zeros((rows.shape[1], rows.shape[1]))
+    for i in range(0, rows.shape[0], 64):
+        total = total + sum((np.outer(r, r) for r in rows[i:i + 64]), np.zeros_like(total))
+    return total
+
+
+class TestGramStore:
+    PROBLEM = _STORE_PROBLEMS["ridge"]
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
+    def test_block_gram_is_the_blockwise_sum(self, count):
+        rows, _ = self.PROBLEM.stream(3).draw_block(count)
+        got = problems.block_gram(rows)
+        np.testing.assert_allclose(got, _loop_gram(rows), rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(got, rows.T @ rows, rtol=1e-13, atol=1e-12)
+        cut = count // 64 * 64
+        resumed = problems.block_gram(rows[cut:], problems.block_gram(rows[:cut]))
+        assert resumed.tobytes() == got.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 300)),
+                          min_size=1, max_size=10),
+           trials=st.integers(1, 3), hold=st.booleans())
+    def test_serves_block_gram_of_fresh_draws_bit_for_bit(self, calls, trials, hold):
+        # any order of counts, repeats included, with sums held or not
+        p = self.PROBLEM
+        cap = 2 * trials * p.sample_width ** 2 * 8 - (0 if hold else 1)
+        with mock.patch.object(problems, "_PREFIX_BYTES", cap):
+            store = PrefixStore(p, trials)
+        for t, count in calls:
+            stream = p.stream(100 + t)
+            total, end = store.gram(stream, count)
+            fresh, fresh_end = stream.draw_block(count)
+            assert total.tobytes() == problems.block_gram(fresh).tobytes()
+            assert end == fresh_end and end.counter == count
+            held = store._sums
+            assert len(held) <= trials and (hold or not held) and not store._held
+            for by in held.values():
+                assert 1 <= len(by) <= 2 and all(m > 0 and m % 64 == 0 for m in by)
+                assert not any(a.flags.writeable for a in by.values())
+
+    def test_later_grams_draw_only_past_the_nearest_held_boundary(self, monkeypatch):
+        p = self.PROBLEM
+        store = PrefixStore(p, 1)
+        store.gram(p.stream(7), 300)  # holds the sum at 256
+        drawn = []
+        draw_block = problems.SampleStream.draw_block
+        monkeypatch.setattr(problems.SampleStream, "draw_block", lambda self, count: (
+            drawn.append((self.counter, count)) or draw_block(self, count)))
+        for count in (100, 200, 260, 130, 40):
+            store.gram(p.stream(7), count)
+        # each call keeps the boundary it extended from and the one it
+        # reached: 100 extends from 0 to 64 (dropping 256), 200 from 64 to
+        # 192, 260 from 192 to 256 (dropping 64), so 130 starts at 0 again
+        # and reaches 128; 40 reaches no boundary and keeps the sums
+        assert drawn == [(0, 100), (64, 136), (192, 68), (0, 130), (0, 40)]
+        assert sorted(store._sums[p.stream(7).base_seed]) == [128]
+
+    def test_other_streams_are_summed_directly(self):
+        p, q = self.PROBLEM, _STORE_PROBLEMS["soft_svm"]
+        store = PrefixStore(p, 2)
+        _, advanced = p.stream(3).draw_block(5)
+        for stream in (advanced, q.stream(3)):
+            total, end = store.gram(stream, 70)
+            fresh, fresh_end = stream.draw_block(70)
+            assert total.tobytes() == problems.block_gram(fresh).tobytes()
+            assert end == fresh_end
+        assert store._sums == {}
+
+
 class TestLossOracles:
     def test_gaussian_mean_values(self, gaussian1d):
         assert gaussian1d.loss_value([1.0], [3.0]) == 4.0

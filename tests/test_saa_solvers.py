@@ -9,6 +9,7 @@ from sastra.errors import (
     UnsupportedCombinationError,
 )
 from sastra.geometry import FeasibleSet, contains, project
+from sastra import saa_solvers as saa
 from sastra.problems import (
     FiniteSumQuadratic,
     GaussianMean,
@@ -16,6 +17,7 @@ from sastra.problems import (
     PrefixStore,
     RidgeRegression,
     SoftSVM,
+    block_gram,
 )
 from sastra.saa_solvers import (
     EmpiricalObjective,
@@ -263,6 +265,35 @@ class TestExactErm:
             res = exact_erm(emp)
             assert_kkt(emp, res.point)
             assert_beats_iterative(emp, res)
+
+    @pytest.mark.parametrize("problem, composite, x0", [
+        (RidgeRegression(RIDGE_COEF, 1.0, unconstrained(5)), None, [1.0, 2.0, -1.0, 0.5, 0.0]),
+        (RidgeRegression(RIDGE_COEF, 2.0, OFF_CENTRE_L2), None, None),
+        (RidgeRegression(RIDGE_COEF, 2.0, OFF_CENTRE_L2), HalfSqL2(0.3, OFF_CENTRE_L2.center),
+         None),
+        (RidgeRegression(np.zeros(20), 1.0, unconstrained(20)), None, None),  # ridge_erm
+    ], ids=["free", "l2", "l2-halfsq", "ridge_erm"])
+    def test_gram_sums_match_the_refined_rows_path(self, problem, composite, x0):
+        # from N = 2n on, exact_erm reads only the block Gram sums; there it
+        # agrees with the design-refined solve on the rows to 1e-12
+        dim = problem.dimension
+        worst = 0.0
+        for n in (2 * dim, 3 * dim, 25 * dim):
+            for seed in range(200):
+                emp, _ = build_empirical(problem, n, problem.stream(seed), composite)
+                rows = saa._least_squares_minimizer(problem, composite, n, x0, rows=emp.samples)
+                worst = max(worst, float(np.max(np.abs(exact_erm(emp, x0).point - rows))))
+        assert worst <= 1e-12
+
+    def test_gram_sums_switch_on_at_twice_the_dimension(self):
+        p = RidgeRegression(RIDGE_COEF, 1.0, unconstrained(5))
+        for n, path in ((5, "rows"), (9, "rows"), (10, "gram")):
+            emp, _ = build_empirical(p, n, p.stream(4))
+            by = {"rows": saa._least_squares_minimizer(p, None, n, None, rows=emp.samples),
+                  "gram": saa._least_squares_minimizer(p, None, n, None,
+                                                       gram=block_gram(emp.samples))}
+            assert by["rows"].tobytes() != by["gram"].tobytes()
+            assert exact_erm(emp).point.tobytes() == by[path].tobytes(), n
 
     def test_ridge_l2_ball_hits_both_branches(self):
         p = RidgeRegression(coefficients=RIDGE_COEF, sigma=2.0, feasible_set=OFF_CENTRE_L2)
